@@ -128,10 +128,6 @@ struct StoreAblationRow {
   obs::RuntimeMetrics Metrics; // snapshot taken just before finish()
 };
 
-/// Scalar cell reserved for publishing child-side commit latencies to
-/// the tuning process (cells 0-7 are claimed by examples/tests).
-constexpr int CommitLatencyCell = 8;
-
 /// Runs `Regions` fork-runtime regions of `N` samples each, with every
 /// child committing a `PayloadDoubles`-element vector, and measures the
 /// three Fig. 10 quantities for one store configuration. `Pool` enters
@@ -143,16 +139,16 @@ constexpr int CommitLatencyCell = 8;
 /// price the armed-but-idle wrapper checks). `Zygotes` > 0 runs pool
 /// regions on a pre-forked nursery of that many parked workers.
 /// `Pipeline` > 1 runs the timed regions as one regionBatch() call with
-/// that many regions in flight. `HugePages` requests THP backing for
-/// the shared mappings. `NetAgents` > 0 adds that many remote sampling
-/// agents over localhost TCP, racing the local pool for lease ranges.
+/// that many regions in flight. `NetAgents` > 0 adds that many remote
+/// sampling agents over localhost TCP, racing the local pool for lease
+/// ranges. Each child times its own payload commit and sends the latency
+/// as its region result, which the tuning side folds.
 StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
                                 bool Fold, bool Pool,
                                 const char *TracePath = nullptr,
                                 const char *InjectPlan = nullptr,
                                 unsigned Zygotes = 0, int Regions = 6,
-                                int Pipeline = 1, bool HugePages = false,
-                                unsigned NetAgents = 0) {
+                                int Pipeline = 1, unsigned NetAgents = 0) {
   using namespace wbt::proc;
   // Untimed regions run first so one-time costs (shm slab creation, COW
   // page faults, zygote nursery spawn, trace-file open) don't land in
@@ -177,16 +173,16 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
   Opts.ShmSlabRecords = 1u << 16;
   Opts.ShmSlabBytes = 64u << 20;
   Opts.Zygotes = Zygotes;
-  Opts.HugePages = HugePages;
   Opts.NetAgents = NetAgents;
   if (TracePath)
     Opts.TracePath = TracePath;
   if (InjectPlan)
     Opts.InjectPlan = InjectPlan;
   Rt.init(Opts);
-  Rt.sharedScalarReset(CommitLatencyCell);
 
   double AggregateSec = 0;
+  double CommitUsSum = 0;
+  size_t Commits = 0;
   auto Body = [&] {
     double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
     if (Rt.isSampling()) {
@@ -194,12 +190,16 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
       std::vector<uint8_t> Bytes = encodeVector(Vec);
       Timer Commit;
       Rt.commitExtra("v", Bytes);
-      Rt.sharedScalarAdd(CommitLatencyCell, Commit.seconds() * 1e6);
-      Rt.aggregate("done", encodeDouble(X), nullptr);
+      // The result record carries the payload commit's latency, so the
+      // timing adds no commit of its own.
+      Rt.aggregate("done", encodeDouble(Commit.seconds() * 1e6), nullptr);
     }
     MeanVectorAccumulator *Acc = Fold ? &Rt.foldMeanVector("v") : nullptr;
+    ScalarAccumulator &CommitUs = Rt.foldScalar("done");
     std::vector<double> Mean;
     Rt.aggregate("done", encodeDouble(0), [&](AggregationView &V) {
+      CommitUsSum += CommitUs.mean() * static_cast<double>(CommitUs.count());
+      Commits += CommitUs.count();
       Timer Agg;
       if (Acc) {
         // Incremental: commits were folded during the supervisor
@@ -242,7 +242,8 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
 
   RunSpan(WarmupRegions);
   // Warmup done: drop its contributions and start measuring.
-  Rt.sharedScalarReset(CommitLatencyCell);
+  CommitUsSum = 0;
+  Commits = 0;
   AggregateSec = 0;
   double BestSec = std::numeric_limits<double>::infinity();
   for (int T = 0; T != Trials; ++T) {
@@ -252,7 +253,7 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
   }
   StoreAblationRow Row;
   Row.Name = Name;
-  Row.CommitUs = Rt.sharedScalarMean(CommitLatencyCell);
+  Row.CommitUs = Commits ? CommitUsSum / static_cast<double>(Commits) : 0.0;
   Row.AggregateMs = AggregateSec * 1e3 / Trials;
   Row.RegionsPerSec = Regions / BestSec;
   Row.TotalSec = BestSec;
@@ -416,15 +417,6 @@ int main(int argc, char **argv) {
       runStoreConfig("shm+fold+zygote+batch", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
                      /*Zygotes=*/8, /*Regions=*/96, /*Pipeline=*/4),
-      // Huge-page ablation: same batch configuration with
-      // madvise(MADV_HUGEPAGE) requested for the shared slab and control
-      // mappings. Advisory only — the row prices the request, and the
-      // thp_granted/thp_declined counters in the JSON record whether the
-      // kernel honored it.
-      runStoreConfig("shm+fold+zygote+batch+hugepage", proc::StoreBackend::Shm,
-                     /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
-                     /*Zygotes=*/8, /*Regions=*/96, /*Pipeline=*/4,
-                     /*HugePages=*/true),
       // Distributed ablation: the batch configuration plus 4 remote
       // sampling agents connected over localhost TCP, claiming lease
       // ranges out of the same shared counter and streaming commits
@@ -435,7 +427,7 @@ int main(int argc, char **argv) {
       runStoreConfig("shm+fold+zygote+batch+net4", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
                      /*Zygotes=*/8, /*Regions=*/96, /*Pipeline=*/4,
-                     /*HugePages=*/false, /*NetAgents=*/4),
+                     /*NetAgents=*/4),
   };
   for (const StoreAblationRow &R : Rows)
     std::printf("%-25s | %9.2fus | %10.3fms | %11.1f\n", R.Name, R.CommitUs,

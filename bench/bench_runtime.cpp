@@ -160,7 +160,12 @@ void BM_CommitShm(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming(); // fresh slab per batch (bump allocators)
     proc::SharedControl Ctl;
-    Ctl.init(/*MaxPool=*/2, /*VoteSlots=*/16, /*UseScheduler=*/true, Slab);
+    Ctl.init(/*MaxPool=*/2, /*UseScheduler=*/true, Slab);
+    // The fresh mapping is untouched: fault it in with one untimed pass
+    // and recycle, so the timed pass measures commits, not page faults.
+    for (int I = 0; I != CommitBatch; ++I)
+      Ctl.slabCommit(0, 1, "x", I, Bytes.data(), Bytes.size());
+    Ctl.slabRecycle();
     State.ResumeTiming();
     for (int I = 0; I != CommitBatch; ++I)
       benchmark::DoNotOptimize(
@@ -200,7 +205,7 @@ void BM_AggregateShm(benchmark::State &State) {
   Slab.Records = static_cast<size_t>(N);
   Slab.ArenaBytes = static_cast<size_t>(N) * 64;
   proc::SharedControl Ctl;
-  Ctl.init(/*MaxPool=*/2, /*VoteSlots=*/16, /*UseScheduler=*/true, Slab);
+  Ctl.init(/*MaxPool=*/2, /*UseScheduler=*/true, Slab);
   for (int I = 0; I != N; ++I) {
     std::vector<uint8_t> B = proc::encodeDouble(static_cast<double>(I));
     Ctl.slabCommit(0, 1, "x", I, B.data(), B.size());
@@ -282,8 +287,6 @@ void BM_RegionAggregate(benchmark::State &State) {
   State.counters["net_recv_trace"] = static_cast<double>(M.NetRecvTrace);
   State.counters["slab_recycles"] = static_cast<double>(M.SlabRecycles);
   State.counters["slab_epoch_hw"] = static_cast<double>(M.SlabEpochHighWater);
-  State.counters["thp_granted"] = static_cast<double>(M.ThpGranted);
-  State.counters["thp_declined"] = static_cast<double>(M.ThpDeclined);
   Rt.finish();
   if (Trace)
     std::remove(TracePath.c_str());

@@ -7,9 +7,10 @@
 // Drives the faithful fork-based runtime (proc/Runtime.h): real sampling
 // processes created with fork(2), the shared-memory aggregation store
 // with incremental tuning-side folding, the shared-memory Alg. 1 pool,
-// @check pruning, @split tuning processes and cross-process majority
-// voting. This is the paper's Fig. 4 programming model verbatim —
-// primitives inserted into straight-line code.
+// @check pruning, @split tuning processes and majority voting folded
+// over each region's sampling processes. This is the paper's Fig. 4
+// programming model verbatim — primitives inserted into straight-line
+// code.
 //
 // Build and run:  ./examples/fork_runtime
 //
@@ -26,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 using namespace wbt;
 using namespace wbt::proc;
@@ -86,21 +88,26 @@ int main() {
 
   if (IsSplitChild) {
     // ---- Region 2 (in each split tuning process): tune `threshold` and
-    // vote the final bitmask across ALL processes through the shared
-    // accumulator. --------------------------------------------------------
+    // majority-vote the final bitmask over the region's samples, folded
+    // as the commits arrive (paper Sec. IV-B). ---------------------------
     Rt.sampling(6);
     double Threshold =
         Rt.sample("threshold", Distribution::uniform(0.0, 1.0));
     std::vector<uint8_t> Mask(16);
     for (size_t I = 0; I != Mask.size(); ++I)
       Mask[I] = (MyIntermediate * (I + 1) / 16.0) > Threshold * 4.0 ? 1 : 0;
-    if (Rt.isSampling()) {
-      Rt.sharedVoteAdd(Mask);
-      Rt.aggregate("done", encodeDouble(1), nullptr);
-    }
-    Rt.aggregate("done", encodeDouble(0), nullptr);
-    std::printf("split tuning process (sigma=%.3f) finished its region\n",
-                MySigma);
+    if (Rt.isSampling())
+      Rt.aggregate("mask", encodeVector(Mask), nullptr);
+    VoteAccumulator &Votes = Rt.foldVote("mask");
+    Rt.aggregate("mask", {}, [&](AggregationView &) {
+      std::vector<uint8_t> Voted = Votes.result(0.5);
+      std::string Bits;
+      for (uint8_t B : Voted)
+        Bits += B ? '1' : '0';
+      std::printf("split tuning process (sigma=%.3f): majority mask %s "
+                  "over %zu votes\n",
+                  MySigma, Bits.c_str(), Votes.runs());
+    });
     Rt.finishAndExit();
   }
 
@@ -172,10 +179,8 @@ int main() {
   if (Rt.traceEnabled())
     std::printf("tracing: writing %s at finish()\n", Rt.tracePath().c_str());
 
-  // Root: wait for the split children, then read the cross-process vote.
+  // Root: wait for the split children.
   Rt.finish(); // waits for all descendants
   std::printf("root: all tuning processes finished\n");
-  std::printf("(the shared majority vote lived in the runtime's shared "
-              "memory; see tests/ProcTest.cpp for assertions over it)\n");
   return 0;
 }

@@ -18,7 +18,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -158,18 +160,32 @@ size_t Daemon::liveJobs() const {
 }
 
 int Daemon::run() {
+  // A drained daemon lingers, still serving and still refusing work,
+  // while a client that submitted a job has not been sent its JobDone:
+  // that client's WaitReq may still be on the way (wbtctl submit --wait
+  // racing a drain). Bounded, for a client that never asks.
+  constexpr auto Linger = std::chrono::seconds(2);
+  std::chrono::steady_clock::time_point DrainedAt{};
+  bool Drained = false;
   for (;;) {
     pumpOnce(50);
     // Drain exits once every admitted job has been *reaped* — exiting
     // between a runner's death and its waitpid would leak a zombie.
-    if (draining() && liveJobs() == 0) {
-      bool Unreaped = false;
-      for (const auto &E : Jobs)
-        if (E.second.Pid != 0)
-          Unreaped = true;
-      if (!Unreaped)
-        break;
+    if (!draining() || liveJobs() != 0)
+      continue;
+    bool Unreaped = false;
+    for (const auto &E : Jobs)
+      if (E.second.Pid != 0)
+        Unreaped = true;
+    if (Unreaped)
+      continue;
+    auto Now = std::chrono::steady_clock::now();
+    if (!Drained) {
+      Drained = true;
+      DrainedAt = Now;
     }
+    if (!owesClients() || Now - DrainedAt > Linger)
+      break;
   }
   for (const std::unique_ptr<Client> &C : Clients)
     ::close(C->Fd);
@@ -329,6 +345,7 @@ void Daemon::handleFrame(Client &C, const std::vector<uint8_t> &Payload) {
     J.Spec = std::move(Spec);
     uint64_t Id = J.Id;
     Jobs.emplace(Id, std::move(J));
+    C.Owed.push_back(Id);
     queueOut(C, encodeSubmitResp(Id, true, std::string()));
     admitQueued();
     return;
@@ -368,7 +385,7 @@ void Daemon::handleFrame(Client &C, const std::vector<uint8_t> &Payload) {
       Waits.emplace_back(Id, C.Fd);
       return;
     }
-    queueOut(C, encodeJobDone(Id, It->second.State, It->second.Result));
+    sendJobDone(C, It->second);
     return;
   }
   default:
@@ -521,12 +538,31 @@ void Daemon::finishJob(Job &J, JobState Terminal) {
     Waits.pop_back();
     for (const std::unique_ptr<Client> &C : Clients)
       if (C->Fd == Fd) {
-        queueOut(*C, encodeJobDone(J.Id, J.State, J.Result));
+        sendJobDone(*C, J);
         flushOut(*C);
         break;
       }
   }
   rebalance();
+}
+
+void Daemon::sendJobDone(Client &C, const Job &J) {
+  queueOut(C, encodeJobDone(J.Id, J.State, J.Result));
+  C.Owed.erase(std::remove(C.Owed.begin(), C.Owed.end(), J.Id),
+               C.Owed.end());
+}
+
+bool Daemon::owesClients() const {
+  for (const std::unique_ptr<Client> &C : Clients) {
+    if (C->OutOff < C->Out.size())
+      return true;
+    for (uint64_t Id : C->Owed) {
+      auto It = Jobs.find(Id);
+      if (It != Jobs.end() && It->second.State != JobState::Canceled)
+        return true;
+    }
+  }
+  return false;
 }
 
 void Daemon::cancelJob(Job &J) {

@@ -86,6 +86,9 @@ private:
     net::FrameBuffer In;
     std::string Out;
     size_t OutOff = 0;
+    /// Jobs submitted on this connection that it has not been sent the
+    /// JobDone of; a drained daemon waits for their WaitReqs (run()).
+    std::vector<uint64_t> Owed;
   };
 
   struct Job {
@@ -110,6 +113,10 @@ private:
   void handleFrame(Client &C, const std::vector<uint8_t> &Payload);
   void queueOut(Client &C, const std::vector<uint8_t> &Frame);
   void flushOut(Client &C);
+  void sendJobDone(Client &C, const Job &J);
+  /// A client still has a JobDone coming (a finished job it submitted
+  /// and did not cancel) or unsent output.
+  bool owesClients() const;
 
   void admitQueued();
   void spawnRunner(Job &J);

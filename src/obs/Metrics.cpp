@@ -6,6 +6,9 @@
 
 #include "obs/Metrics.h"
 
+#include <sched.h>
+#include <time.h>
+
 #include <cinttypes>
 #include <type_traits>
 #include <cstring>
@@ -79,19 +82,39 @@ void MetricsSnapshotPage::publish(const RuntimeMetrics &M) {
 }
 
 bool MetricsSnapshotPage::read(RuntimeMetrics &Out) const {
-  // Bounded retries: writers publish at sweep cadence, so a torn read
-  // is rare and one retry almost always lands. The bound only guards
-  // against a writer that dies mid-copy (odd forever).
-  for (int Try = 0; Try != 1024; ++Try) {
+  // Two ways a read can miss. A copy torn by a publish that landed
+  // during it retries, a bounded number of times: writers publish at
+  // sweep cadence, so one retry almost always lands. An odd sequence is
+  // a copy in flight; the reader waits for it, yielding so a writer
+  // preempted mid-copy gets the CPU back, and the wait is bounded by
+  // time, not by spins: a live writer can be off the CPU for
+  // milliseconds, while a writer that died mid-copy leaves the same odd
+  // value in place forever.
+  constexpr int64_t DeadWriterNs = 20 * 1000 * 1000;
+  uint64_t OddSeq = 0;
+  int64_t OddSinceNs = 0;
+  for (int Torn = 0; Torn != 1024;) {
     uint64_t S1 = Seq.load(std::memory_order_acquire);
     if (S1 == 0)
       return false; // nothing published yet
-    if (S1 & 1)
-      continue; // writer mid-copy
+    if (S1 & 1) {
+      timespec T;
+      clock_gettime(CLOCK_MONOTONIC, &T);
+      int64_t NowNs = int64_t(T.tv_sec) * 1000000000 + T.tv_nsec;
+      if (S1 != OddSeq) {
+        OddSeq = S1;
+        OddSinceNs = NowNs;
+      } else if (NowNs - OddSinceNs > DeadWriterNs) {
+        return false;
+      }
+      sched_yield();
+      continue;
+    }
     std::memcpy(&Out, &Snap, sizeof(Out));
     std::atomic_thread_fence(std::memory_order_acquire);
     if (Seq.load(std::memory_order_relaxed) == S1)
       return true;
+    ++Torn;
   }
   return false;
 }
@@ -112,9 +135,7 @@ void writeMetricsJson(std::FILE *F, const RuntimeMetrics &M) {
                "\"fork_failures\": %llu, \"lease_reclaims\": %llu, "
                "\"retries\": %llu, \"slab_records_hw\": %llu, "
                "\"slab_bytes_hw\": %llu, \"slab_recycles\": %llu, "
-               "\"slab_epoch_hw\": %llu, \"thp_granted\": %llu, "
-               "\"thp_declined\": %llu, \"hugetlb_granted\": %llu, "
-               "\"hugetlb_declined\": %llu, \"zygote_respawns\": %llu, "
+               "\"slab_epoch_hw\": %llu, \"zygote_respawns\": %llu, "
                "\"zygote_restores\": %llu, \"remove_failures\": %llu, "
                "\"net_agents\": %llu, \"net_reconnects\": %llu, "
                "\"net_remote_leases\": %llu, \"net_leases_returned\": %llu, "
@@ -138,10 +159,6 @@ void writeMetricsJson(std::FILE *F, const RuntimeMetrics &M) {
                (unsigned long long)M.SlabBytesHighWater,
                (unsigned long long)M.SlabRecycles,
                (unsigned long long)M.SlabEpochHighWater,
-               (unsigned long long)M.ThpGranted,
-               (unsigned long long)M.ThpDeclined,
-               (unsigned long long)M.HugetlbGranted,
-               (unsigned long long)M.HugetlbDeclined,
                (unsigned long long)M.ZygoteRespawns,
                (unsigned long long)M.ZygoteRestores,
                (unsigned long long)M.RemoveFailures,
@@ -265,10 +282,6 @@ void writeExpositionText(std::string &Out, const RuntimeMetrics &M,
   expCounter(Out, L, "slab_bytes_hw", M.SlabBytesHighWater);
   expCounter(Out, L, "slab_recycles", M.SlabRecycles);
   expCounter(Out, L, "slab_epoch_hw", M.SlabEpochHighWater);
-  expCounter(Out, L, "thp_granted", M.ThpGranted);
-  expCounter(Out, L, "thp_declined", M.ThpDeclined);
-  expCounter(Out, L, "hugetlb_granted", M.HugetlbGranted);
-  expCounter(Out, L, "hugetlb_declined", M.HugetlbDeclined);
   expCounter(Out, L, "zygote_respawns", M.ZygoteRespawns);
   expCounter(Out, L, "zygote_restores", M.ZygoteRestores);
   expCounter(Out, L, "remove_failures", M.RemoveFailures);

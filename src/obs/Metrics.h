@@ -84,10 +84,6 @@ struct RuntimeMetrics {
   uint64_t SlabBytesHighWater = 0;   ///< cumulative across recycling epochs
   uint64_t SlabRecycles = 0;         ///< epoch resets of the commit slab
   uint64_t SlabEpochHighWater = 0;   ///< largest single-epoch record count
-  uint64_t ThpGranted = 0;  ///< madvise(MADV_HUGEPAGE) accepted at init
-  uint64_t ThpDeclined = 0; ///< huge pages asked for but refused
-  uint64_t HugetlbGranted = 0;  ///< mmap(MAP_HUGETLB) reservation held
-  uint64_t HugetlbDeclined = 0; ///< hugetlbfs refused; fell back to THP
   uint64_t ZygoteRespawns = 0; ///< nursery refills after a zygote died
   uint64_t ZygoteRestores = 0; ///< parked zygotes woken into a region
   uint64_t RemoveFailures = 0; ///< run-dir entries removeTree failed on
@@ -134,9 +130,10 @@ struct MetricsSnapshotPage {
 
   /// Writer side (the page's single writer only).
   void publish(const RuntimeMetrics &M);
-  /// Reader side. False when nothing has been published yet or a stable
-  /// snapshot could not be obtained in a bounded number of retries (a
-  /// writer that died mid-copy leaves the sequence odd forever).
+  /// Reader side. False when nothing has been published yet, when
+  /// publishes kept tearing the copy for a bounded number of retries, or
+  /// when one copy stayed in flight past a time bound (a writer that
+  /// died mid-copy leaves the sequence odd forever).
   bool read(RuntimeMetrics &Out) const;
   /// Publication count (even sequence / 2); 0 before the first publish.
   uint64_t published() const {

@@ -157,6 +157,11 @@ enum LeaseState : int32_t {
 /// sample itself is the likely killer.
 constexpr int32_t MaxLeaseAttempts = 2;
 
+/// ChildSlot::CurrentLease of a pool worker the supervisor has claimed
+/// for a deadline kill while it held lease \p Idx (killStragglers()). Any
+/// value <= -2 is such a mark; -1 means no lease.
+constexpr int32_t killMark(int32_t Idx) { return -2 - Idx; }
+
 SampleStatus leaseSampleStatus(int32_t Ls) {
   switch (Ls) {
   case LsCommitted:
@@ -216,16 +221,15 @@ struct LeaseCell {
 /// follows it in memory, then LeaseCell[NumLeases] in pool mode.
 struct RegionTable {
   SharedLock ParkLock; // spare parking: guards Command + wakes spares
-  int32_t NumMains;
+  int32_t NumMains;  // samples (fork mode) or worker slots (pool mode)
   int32_t NumSlots;  // mains + spares (pool mode: workers + respawns)
-  int32_t PoolMode;  // 1 for samplingRegion() regions
-  int32_t NumLeases; // sample count N (pool mode only)
+  int32_t PoolMode;  // 1 for regionBatch() regions
+  int32_t NumLeases; // BatchCount * BatchN (pool mode only)
   std::atomic<int32_t> LeasesReturned; // LsReturned cells awaiting re-claim
-  // Pipelined batches (regionBatch): the lease table spans BatchCount
-  // regions of BatchN samples each; lease Idx belongs to region
-  // BatchBase + Idx / BatchN at local sample index Idx % BatchN.
-  // Non-batched regions set BatchCount = 1 and BatchN = NumLeases so
-  // the mapping degenerates to the identity.
+  // Pool mode (regionBatch): the lease table spans BatchCount regions of
+  // BatchN samples each; lease Idx belongs to region BatchBase + Idx /
+  // BatchN at local sample index Idx % BatchN. A one-region batch maps
+  // every lease to itself.
   int32_t BatchCount;
   int32_t BatchN;
   uint64_t BatchBase;
@@ -554,13 +558,11 @@ void Runtime::init(const RuntimeOptions &InOpts) {
     Slab.Records = 0; // Files backend: no slab at all
     Slab.ArenaBytes = 0;
   }
-  Slab.HugePages = Opts.HugePages;
   TraceConfig Trace;
   Trace.Records = TraceOn ? Opts.TraceRingRecords : 0;
   size_t AuxBytes =
       Opts.Zygotes > 0 ? zygoteBoardBytes(static_cast<int>(Opts.Zygotes)) : 0;
-  Ctl->init(Opts.MaxPool, Opts.VoteSlots, Opts.UseScheduler, Slab, Trace,
-            AuxBytes);
+  Ctl->init(Opts.MaxPool, Opts.UseScheduler, Slab, Trace, AuxBytes);
   if (AuxBytes) {
     auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
     B->Lock.init();
@@ -583,6 +585,7 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   SplitChildren.clear();
   Reaped.clear();
   NumSpares = 0;
+  BarrierSlot = -1;
   RegionDirPath.clear();
   RegionSlabStart = 0;
   RegionShmStart = 0;
@@ -592,18 +595,12 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   FoldVotes.clear();
   FoldMeanVecs.clear();
   FoldedPairs.clear();
-  RegionIsPool = false;
-  RegionWorkers = 0;
   LeaseSlot = -1;
   LeaseIndex = -1;
   RespawnsUsed = 0;
   RegionBody = nullptr;
   PoolWorker = false;
   WorkerIndex = -1;
-  BatchActive = false;
-  BatchRegions = 0;
-  BatchN = 0;
-  BatchBase = 0;
   ZygotesSpawned = false;
   NumZygotes = 0;
   ZygotePids.clear();
@@ -795,9 +792,18 @@ void Runtime::parkAsSpare(int Idx) {
   }
   // Activated: take a real sampling slot and run the region body with the
   // fresh RNG stream this index was seeded with.
-  Ctl->acquireSlot(/*IsTuning=*/false);
+  acquireSlotKillable();
   S.SlotHeld.store(1, std::memory_order_release);
   traceEmit(obs::EventKind::SchedAdmit, 0, static_cast<uint64_t>(Idx));
+}
+
+void Runtime::acquireSlotKillable() {
+  // Poll rather than wait on the pool's process-shared condvar: glibc's
+  // condvar counts each waiter in, and one SIGKILLed mid-wait is never
+  // counted out, so the next broadcast — every releaseSlot() of every
+  // process — blocks forever. Uncontended, the first attempt succeeds.
+  while (!Ctl->acquireSlotTimed(/*IsTuning=*/false, /*TimeoutMs=*/0))
+    usleep(1000);
 }
 
 //===----------------------------------------------------------------------===//
@@ -854,39 +860,51 @@ bool Runtime::reapOne(int Idx, bool Block) {
     Ctl->releaseSlot();
   if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
     Ctl->barrierReclaimDead(BarrierSlot, &S.InBarrier);
-  if (Table->PoolMode)
-    reclaimWorkerLease(Idx);
+  // A pool worker may have died mid-lease (or under a deadline kill
+  // mark): its lease goes through the retry rule, timed out if the worker
+  // was a deadline kill. A lease still Pending lost its worker between
+  // the counter claim and the Claimed mark; no one else can claim it.
+  int Lease = Table->PoolMode
+                  ? S.CurrentLease.exchange(-1, std::memory_order_acq_rel)
+                  : -1;
+  if (Lease <= -2)
+    Lease = killMark(Lease);
+  if (Lease >= 0 && Lease < Table->NumLeases) {
+    int32_t From = leasesOf(Table)[Lease].State.load(
+                       std::memory_order_acquire) == LsPending
+                       ? LsPending
+                       : LsClaimed;
+    returnOrRetireLease(Lease, From, statusOf(S) == SampleStatus::TimedOut,
+                        S.Signal.load(std::memory_order_relaxed));
+  }
   return true;
 }
 
-/// A reaped pool worker may have died mid-lease; decide that lease's
-/// fate. First death of the lease's owner returns it to the pool for a
-/// survivor to re-claim; a repeat offender (or a timeout kill) retires
-/// it with the worker's terminal status, since re-running a sample that
-/// kills its workers — or has already blown the region deadline — only
-/// wastes the rest of the pool.
-void Runtime::reclaimWorkerLease(int SlotIdx) {
-  ChildSlot &S = slotsOf(Table)[SlotIdx];
-  int Idx = S.CurrentLease.exchange(-1, std::memory_order_acq_rel);
-  if (Idx < 0 || Idx >= Table->NumLeases)
-    return;
+/// The one retry rule for an orphaned lease, whose holder died (a local
+/// worker), disconnected (a remote agent), or vanished inside the claim
+/// window: move it from state \p From back to the pool for another
+/// worker to re-claim, unless it is \p Timed or out of attempts — then
+/// retire it as TimedOut or Crashed, recording the holder's \p Signal.
+/// Re-running a sample that keeps killing its workers, or that has
+/// already blown the region deadline, only wastes the rest of the pool.
+/// Returns true when the lease went back to the pool.
+bool Runtime::returnOrRetireLease(int Idx, int32_t From, bool Timed,
+                                  int32_t Signal) {
   LeaseCell &L = leasesOf(Table)[Idx];
-  int32_t Expect = LsClaimed;
-  bool Timed = statusOf(S) == SampleStatus::TimedOut;
+  int32_t Expect = From;
   if (!Timed && L.Attempts.load(std::memory_order_relaxed) < MaxLeaseAttempts) {
-    if (L.State.compare_exchange_strong(Expect, LsReturned,
-                                        std::memory_order_acq_rel)) {
-      Table->LeasesReturned.fetch_add(1, std::memory_order_release);
-      Ctl->noteLeaseReclaim();
-      traceEmit(obs::EventKind::LeaseReclaim, static_cast<uint64_t>(Idx));
-    }
-    return;
+    if (!L.State.compare_exchange_strong(Expect, LsReturned,
+                                         std::memory_order_acq_rel))
+      return false;
+    Table->LeasesReturned.fetch_add(1, std::memory_order_release);
+    Ctl->noteLeaseReclaim();
+    traceEmit(obs::EventKind::LeaseReclaim, static_cast<uint64_t>(Idx));
+    return true;
   }
-  if (L.State.compare_exchange_strong(Expect,
-                                      Timed ? LsTimedOut : LsCrashed,
+  if (L.State.compare_exchange_strong(Expect, Timed ? LsTimedOut : LsCrashed,
                                       std::memory_order_acq_rel))
-    L.Signal.store(S.Signal.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
+    L.Signal.store(Signal, std::memory_order_relaxed);
+  return false;
 }
 
 /// One WNOHANG pass over every child. Activates retry spares for newly
@@ -981,8 +999,18 @@ bool Runtime::activateSpare() {
 /// Region deadline enforcement: SIGKILL every child that is still running
 /// the body, reclaiming its resources first (claim-then-kill keeps the
 /// slot accounting exact). Parked spares are left for discardSpares().
-void Runtime::killStragglers() {
+/// In a pool region the stragglers are the workers still running a
+/// claimed lease of the delivering region's window; each is claimed by
+/// swapping its CurrentLease for a kill mark. A worker that finishes that lease
+/// meanwhile finds the mark when it clears CurrentLease (dropLeaseMark)
+/// and waits there for the SIGKILL, holding no lock. Workers waiting at
+/// the claim gate, re-parking, or running a later region's lease are
+/// not the deadline's business. Returns the number of children killed.
+int Runtime::killStragglers() {
   ChildSlot *Slots = slotsOf(Table);
+  bool Pool = Table->PoolMode != 0;
+  int64_t W0 = Pool ? windowBegin() : 0;
+  int Killed = 0;
   for (int I = 0, E = Table->NumSlots; I != E; ++I) {
     ChildSlot &S = Slots[I];
     // Parked (or already re-parked) zygotes are not stragglers: only
@@ -995,14 +1023,33 @@ void Runtime::killStragglers() {
     pid_t Pid = S.Pid.load(std::memory_order_relaxed);
     if (!Counted || Reaped[I] || Pid <= 0)
       continue;
+    if (Pool) {
+      int32_t Cur = S.CurrentLease.load(std::memory_order_acquire);
+      if (Cur < W0 || Cur >= W0 + Table->BatchN ||
+          leasesOf(Table)[Cur].State.load(std::memory_order_acquire) !=
+              LsClaimed ||
+          !S.CurrentLease.compare_exchange_strong(Cur, killMark(Cur),
+                                                  std::memory_order_acq_rel))
+        continue;
+    }
+    // Claim the child's resources before the kill so it cannot die
+    // between claiming and releasing them itself.
+    bool OwnSlot = S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1;
+    if (!Pool && !OwnSlot &&
+        S.BarrierLeft.load(std::memory_order_acquire) == 1) {
+      // The child released both itself: its exit is under way and runs
+      // no more user code. A SIGKILL now could land while it holds a
+      // process-shared mutex in releaseSlot() or childEventNotify(),
+      // wedging every process that later takes that lock. Let it finish.
+      reapOne(I, /*Block=*/true);
+      continue;
+    }
     int32_t Expect = static_cast<int32_t>(SampleStatus::Running);
     if (S.Status.compare_exchange_strong(
             Expect, static_cast<int32_t>(SampleStatus::TimedOut),
             std::memory_order_relaxed))
       Ctl->noteTimeout();
-    // Claim the child's resources before the kill so it cannot die
-    // between claiming and releasing them itself.
-    if (S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
+    if (OwnSlot)
       Ctl->releaseSlot();
     if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
       Ctl->barrierReclaimDead(BarrierSlot, &S.InBarrier);
@@ -1010,7 +1057,9 @@ void Runtime::killStragglers() {
               static_cast<uint64_t>(Pid));
     kill(Pid, SIGKILL);
     reapOne(I, /*Block=*/true);
+    ++Killed;
   }
+  return Killed;
 }
 
 /// Tells every still-parked spare to exit and reaps it.
@@ -1113,19 +1162,16 @@ void Runtime::foldSlabCommits() {
       continue; // unpublished (in flight, or its writer died mid-commit)
     if (E.Tp != TpId || E.Region != RegionCounter)
       continue;
-    // Pool mode: Child is a lease index, and the gate is the lease's own
-    // state — the committing worker is usually still alive and Running.
-    // In a batch, Child is the region-local sample index; the lease cell
-    // lives at the region's window offset in the shared table.
+    // Pool mode: the gate is the lease's own state — the committing
+    // worker is usually still alive and Running. Child is the
+    // region-local sample index; the lease cell lives at the region's
+    // window offset in the flat table.
     if (Table->PoolMode) {
       if (E.Child < 0 || E.Child >= Table->BatchN)
         continue;
       int64_t LIdx =
-          Table->BatchCount > 1
-              ? static_cast<int64_t>(E.Region - Table->BatchBase) *
-                        Table->BatchN +
-                    E.Child
-              : E.Child;
+          static_cast<int64_t>(E.Region - Table->BatchBase) * Table->BatchN +
+          E.Child;
       if (LIdx < 0 || LIdx >= Table->NumLeases)
         continue;
       if (leasesOf(Table)[LIdx].State.load(std::memory_order_acquire) !=
@@ -1172,14 +1218,11 @@ void Runtime::foldRemaining(
 }
 
 std::shared_ptr<const RegionReader> Runtime::makeRegionReader() const {
-  // Record indices run over sample slots in fork mode and over leases in
-  // pool mode; a batch delivery reads one region's window of BatchN
-  // samples (slab records carry region-local child indices).
+  // Record indices run over sample slots in fork mode; a pool delivery
+  // reads one region's window of BatchN samples (slab records carry
+  // region-local child indices).
   int NumRecords =
-      !Table ? 0
-             : (Table->PoolMode ? (Table->BatchCount > 1 ? Table->BatchN
-                                                         : Table->NumLeases)
-                                : Table->NumSlots);
+      !Table ? 0 : (Table->PoolMode ? Table->BatchN : Table->NumSlots);
   if (Opts.Backend == StoreBackend::Shm)
     return std::make_shared<ShmRegionReader>(*Ctl, TpId, RegionCounter,
                                              RegionSlabStart, NumRecords,
@@ -1200,42 +1243,12 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
     return;
   assert(!RegionActive && "nested @sampling regions are not supported");
   maybeRecycleSlab();
-
-  ++RegionCounter;
-  // Cache the region directory once; every file commit/load reuses it
-  // instead of rebuilding the path strings. The directory itself is
-  // created lazily by the first file-fallback commit: pure-shm regions
-  // never touch the filesystem at all.
-  RegionDirPath = regionDir(RegionCounter);
-  // Fresh fold state; references returned by foldScalar() & friends for
-  // the previous region die here.
-  FoldScalars.clear();
-  FoldVotes.clear();
-  FoldMeanVecs.clear();
-  FoldedPairs.clear();
   // Slab entries allocated before this point cannot belong to this
   // region; sweeps scan [RegionSlabStart, slabAllocated()).
   RegionSlabStart = Ctl->slabAllocated();
-  // Store-counter watermarks: AggregationView reports per-region deltas
-  // against these.
-  RegionShmStart = Ctl->slabPublishedTotal();
-  for (int R = 0; R != obs::NumFallbackReasons; ++R)
-    RegionFallbackStart[R] =
-        Ctl->slabFallbacks(static_cast<obs::FallbackReason>(R));
-  RegionT0 = monoNow();
-  traceEmit(obs::EventKind::RegionBegin, RegionCounter,
-            static_cast<uint64_t>(N));
-
-  RegionN = N;
-  RegionKind = Ro.Kind;
-  RegionUsedSync = false;
-  RegionIsPool = false;
+  beginRegion(RegionCounter + 1, N, Ro);
   NextSpare = 0;
   NumSpares = Ro.MaxRetries >= 0 ? Ro.MaxRetries : Opts.MaxRetries;
-  double TimeoutSec =
-      Ro.TimeoutSec >= 0 ? Ro.TimeoutSec : Opts.SampleTimeoutSec;
-  RegionHasDeadline = TimeoutSec > 0;
-  RegionDeadline = RegionHasDeadline ? monoNow() + TimeoutSec : 0;
 
   BarrierSlot = Ctl->acquireBarrierSlot();
   Ctl->barrierReset(BarrierSlot, N);
@@ -1279,7 +1292,7 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
     traceEmit(obs::EventKind::SchedAdmit, 0, static_cast<uint64_t>(I));
     S.SlotHeld.store(1, std::memory_order_relaxed);
     double ForkT0 = monoNow();
-    pid_t Pid = I == Opts.DebugFailForkAt ? -1 : sys::forkProcess();
+    pid_t Pid = sys::forkProcess();
     if (Pid < 0) {
       // The sample never existed: release the reserved slot, shrink the
       // barrier, record the failure, and carry on with the region.
@@ -1325,6 +1338,36 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
   RegionActive = true;
 }
 
+void Runtime::beginRegion(uint64_t Ordinal, int N, const RegionOptions &Ro) {
+  RegionCounter = Ordinal;
+  // Cache the region directory once; every file commit/load reuses it
+  // instead of rebuilding the path strings. The directory itself is
+  // created lazily by the first file-fallback commit: pure-shm regions
+  // never touch the filesystem at all.
+  RegionDirPath = regionDir(Ordinal);
+  // Fresh fold state; references returned by foldScalar() & friends for
+  // the previous region die here.
+  FoldScalars.clear();
+  FoldVotes.clear();
+  FoldMeanVecs.clear();
+  FoldedPairs.clear();
+  // Store-counter watermarks: AggregationView reports per-region deltas
+  // against these.
+  RegionShmStart = Ctl->slabPublishedTotal();
+  for (int R = 0; R != obs::NumFallbackReasons; ++R)
+    RegionFallbackStart[R] =
+        Ctl->slabFallbacks(static_cast<obs::FallbackReason>(R));
+  RegionT0 = monoNow();
+  double TimeoutSec =
+      Ro.TimeoutSec >= 0 ? Ro.TimeoutSec : Opts.SampleTimeoutSec;
+  RegionHasDeadline = TimeoutSec > 0;
+  RegionDeadline = RegionHasDeadline ? RegionT0 + TimeoutSec : 0;
+  RegionN = N;
+  RegionKind = Ro.Kind;
+  RegionUsedSync = false;
+  traceEmit(obs::EventKind::RegionBegin, Ordinal, static_cast<uint64_t>(N));
+}
+
 //===----------------------------------------------------------------------===//
 // Worker-pool sampling regions
 //===----------------------------------------------------------------------===//
@@ -1344,7 +1387,7 @@ void Runtime::forkPoolWorker(int SlotIdx) {
   S.SlotHeld.store(1, std::memory_order_relaxed);
   std::fflush(nullptr);
   double ForkT0 = monoNow();
-  pid_t Pid = SlotIdx == Opts.DebugFailForkAt ? -1 : sys::forkProcess();
+  pid_t Pid = sys::forkProcess();
   if (Pid < 0) {
     // This worker never existed: release its slot and barrier share. Its
     // prospective leases stay with the counter for the other workers.
@@ -1383,14 +1426,14 @@ void Runtime::forkPoolWorker(int SlotIdx) {
   S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
 }
 
-/// Sampling side of a pool region: claim a sample index, impersonate the
-/// fork-per-sample child of that index (same ChildIndex, same RNG
-/// stream), run the body, repeat until the region is drained. Shared by
-/// one-shot pool workers (workerLoop) and zygotes, which park and run it
-/// again for the next region.
+/// Sampling side of a pool region: claim a lease, impersonate the
+/// fork-per-sample child of its region and index (same ChildIndex, same
+/// RNG stream), run the body, repeat until the batch is drained. Shared
+/// by one-shot pool workers (workerLoop) and zygotes, which park and run
+/// it again for the next batch.
 void Runtime::runLeases() {
   for (;;) {
-    int Idx = Table->BatchCount > 1 ? claimLeaseGated() : claimLease();
+    int Idx = claimLeaseGated();
     if (Idx < 0)
       break;
     runOneLease(Idx);
@@ -1399,32 +1442,110 @@ void Runtime::runLeases() {
   LeaseIndex = -1;
 }
 
-/// Batch-mode claim: returned leases first, then a bounded counter claim
-/// that never passes the pipeline's claim limit. A gated worker parks
-/// WITHOUT holding an index — an index claimed before parking belongs to
-/// a region whose delivery then stalls until the sleeping holder gets
-/// rescheduled (observed as multi-ms pipeline hiccups every K regions on
-/// loaded machines, and as outright deadlock when the holder's region
-/// also had a returned lease nobody could pick up). Servicing returns
-/// while gated keeps a dead worker's lease from wedging the delivery
-/// window the supervisor is waiting on. Limit raises broadcast under
-/// ParkLock, so the timed wait only pays its 50 ms on a missed reclaim,
-/// never as a steady-state cost. Returns -1 once the counter is drained
-/// and no returned leases remain.
-int Runtime::claimLeaseGated() {
+/// Claims one lease without blocking: a lease returned by a dead holder
+/// first (the re-run path), else the next counter index below the
+/// pipeline's claim limit. Marks it LsClaimed before anyone can look.
+/// Returns its index, or -1 when neither is available right now. Local
+/// workers and the net lease server's remote claims share it.
+///
+/// A \p Worker publishes a counter index in its CurrentLease before it
+/// marks the lease Claimed, so every Claimed lease of a live worker is
+/// visible to the deadline kill, and a worker that dies in between
+/// leaves the reaper its still-Pending lease. The mark is a CAS: a
+/// lease the supervisor retired before anyone claimed it (a region
+/// deadline) is skipped.
+int Runtime::tryClaimLease(bool Worker) {
+  LeaseCell *Leases = leasesOf(Table);
   int N = Table->NumLeases;
+  std::atomic<int32_t> *Mark =
+      Worker ? &slotsOf(Table)[WorkerIndex].CurrentLease : nullptr;
+  if (Table->LeasesReturned.load(std::memory_order_acquire) > 0) {
+    for (int I = 0; I != N; ++I) {
+      int32_t Expect = LsReturned;
+      if (Leases[I].State.compare_exchange_strong(Expect, LsClaimed,
+                                                  std::memory_order_acq_rel)) {
+        Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
+        if (Mark)
+          Mark->store(I, std::memory_order_release);
+        return I;
+      }
+    }
+    // Another claimant won every visible return.
+  }
   for (;;) {
-    int Ret = claimReturnedLease();
-    if (Ret >= 0)
-      return Ret;
     int64_t Bound = std::min<int64_t>(
         Table->ClaimLimit.load(std::memory_order_acquire), N);
     int64_t Idx = Ctl->leaseClaimBounded(LeaseSlot, Bound);
-    if (Idx >= 0)
+    if (Idx < 0)
+      return -1;
+    if (Mark)
+      Mark->store(static_cast<int32_t>(Idx), std::memory_order_release);
+    int32_t Expect = LsPending;
+    if (Leases[Idx].State.compare_exchange_strong(Expect, LsClaimed,
+                                                  std::memory_order_acq_rel))
       return static_cast<int>(Idx);
+    if (Mark)
+      dropLeaseMark(static_cast<int>(Idx));
+  }
+}
+
+/// Worker side: clears CurrentLease once lease \p Idx has ended (or its
+/// claim lost to a deadline retirement). If the supervisor swapped in a
+/// kill mark first, the SIGKILL is on its way: wait for it here, before
+/// the worker could take any process-shared lock (the claim gate, the
+/// child-event notify) that a kill must never interrupt.
+void Runtime::dropLeaseMark(int Idx) {
+  int32_t Expect = Idx;
+  if (slotsOf(Table)[WorkerIndex].CurrentLease.compare_exchange_strong(
+          Expect, -1, std::memory_order_acq_rel))
+    return;
+  for (;;)
+    pause();
+}
+
+int64_t Runtime::windowBegin() const {
+  return static_cast<int64_t>(RegionCounter - Table->BatchBase) *
+         Table->BatchN;
+}
+
+/// Blocking claim of a worker: tryClaimLease(), parking at the pipeline's
+/// claim limit. A gated worker parks WITHOUT holding an index — an index
+/// claimed before parking belongs to a region whose delivery then stalls
+/// until the sleeping holder gets rescheduled (observed as multi-ms
+/// pipeline hiccups every K regions on loaded machines, and as outright
+/// deadlock when the holder's region also had a returned lease nobody
+/// could pick up). Servicing returns while gated keeps a dead worker's
+/// lease from wedging the delivery window the supervisor is waiting on.
+/// Limit raises broadcast under ParkLock, so the timed wait only pays its
+/// 50 ms on a missed reclaim, never as a steady-state cost. Returns -1
+/// once the counter is drained and no returned leases remain; a lease
+/// returned after that is covered by the supervisor's wipe-out path
+/// (settlePoolLeases forks a fresh worker), so exiting is safe.
+///
+/// A gated worker also parks WITHOUT its pool slot, as a parked spare
+/// does, and takes one again before its next claim. Idle workers holding
+/// slots deadlocked against a tuning process still forking the rest of
+/// its workers (it can only raise the limit after they exist) once a
+/// @split sibling's workers had the other slots.
+int Runtime::claimLeaseGated() {
+  ChildSlot &Me = slotsOf(Table)[WorkerIndex];
+  int N = Table->NumLeases;
+  for (;;) {
+    if (Me.SlotHeld.load(std::memory_order_relaxed) == 0) {
+      acquireSlotKillable();
+      Me.SlotHeld.store(1, std::memory_order_release);
+    }
+    int Idx = tryClaimLease(/*Worker=*/true);
+    if (Idx >= 0)
+      return Idx;
     if (Ctl->leaseNext(LeaseSlot) >= N &&
         Table->LeasesReturned.load(std::memory_order_acquire) == 0)
       return -1;
+    if (Table->LeasesReturned.load(std::memory_order_acquire) == 0 &&
+        Table->ClaimLimit.load(std::memory_order_acquire) <=
+            Ctl->leaseNext(LeaseSlot) &&
+        Me.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
+      Ctl->releaseSlot();
     timespec Deadline = monoDeadlineIn(50);
     pthread_mutex_lock(&Table->ParkLock.Mutex);
     if (Table->LeasesReturned.load(std::memory_order_acquire) == 0 &&
@@ -1437,36 +1558,30 @@ int Runtime::claimLeaseGated() {
 }
 
 /// Runs one claimed lease to its terminal state: impersonate the
-/// fork-per-sample child of that index, run the body, publish the
-/// outcome.
+/// fork-per-sample child of that region and index, run the body, publish
+/// the outcome.
 void Runtime::runOneLease(int Idx) {
-  ChildSlot &Me = slotsOf(Table)[WorkerIndex];
-  if (Table->BatchCount > 1) {
-    // Roll into the lease's region: same region identity a worker forked
-    // for that region alone would carry. Re-claimed returns can roll
-    // backwards into an earlier region; the next counter claim rolls
-    // forward again.
-    uint64_t Reg = Table->BatchBase +
-                   static_cast<uint64_t>(Idx) /
-                       static_cast<uint64_t>(Table->BatchN);
-    if (Reg != RegionCounter) {
-      RegionCounter = Reg;
-      RegionDirPath = regionDir(RegionCounter);
-      RegionN = Table->BatchN;
-      traceEmit(obs::EventKind::BatchRoll, RegionCounter,
-                static_cast<uint64_t>(Idx));
-    }
+  // Roll into the lease's region: same region identity a worker forked
+  // for that region alone would carry. Re-claimed returns can roll
+  // backwards into an earlier region; the next counter claim rolls
+  // forward again. A one-region batch never rolls.
+  int64_t BatchN = Table->BatchN;
+  uint64_t Reg = Table->BatchBase + static_cast<uint64_t>(Idx / BatchN);
+  if (Reg != RegionCounter) {
+    RegionCounter = Reg;
+    RegionDirPath = regionDir(RegionCounter);
+    RegionN = Table->BatchN;
+    traceEmit(obs::EventKind::BatchRoll, RegionCounter,
+              static_cast<uint64_t>(Idx));
   }
-  int Local = Table->BatchCount > 1 ? Idx % Table->BatchN : Idx;
   LeaseCell &L = leasesOf(Table)[Idx];
   L.Attempts.fetch_add(1, std::memory_order_relaxed);
-  L.State.store(LsClaimed, std::memory_order_relaxed);
-  // Publish which lease we hold before running user code: if we die in
-  // the body, the supervisor reads CurrentLease to return the lease.
-  Me.CurrentLease.store(Idx, std::memory_order_release);
+  // CurrentLease already names this lease (tryClaimLease): if we die in
+  // the body, the supervisor reads it to return the lease.
   // ChildIndex is the region-local sample index (what sample() strata
-  // and commit records see); LeaseIndex addresses the shared lease
-  // table, which in a batch spans every region's window.
+  // and commit records see); LeaseIndex addresses the flat lease table,
+  // which spans every region's window.
+  int Local = static_cast<int>(Idx % BatchN);
   ChildIndex = Local;
   LeaseIndex = Idx;
   traceEmit(obs::EventKind::LeaseBegin, RegionCounter,
@@ -1489,31 +1604,22 @@ void Runtime::runOneLease(int Idx) {
   traceEmit(obs::EventKind::LeaseEnd, RegionCounter,
             static_cast<uint64_t>(Idx),
             static_cast<uint16_t>(L.State.load(std::memory_order_relaxed)));
-  Me.CurrentLease.store(-1, std::memory_order_release);
-  if (Table->BatchCount > 1) {
-    // One supervisor wakeup per settled region window instead of per
-    // lease: each notify costs the supervisor a sleep/wake round trip,
-    // and a batch delivery can only advance when its whole window is
-    // terminal anyway. The last finisher of a window is guaranteed to
-    // see every cell terminal (the terminal stores above are release,
-    // these loads acquire); two leases finishing back-to-back can at
-    // worst both notify, which is harmless.
-    LeaseCell *Leases = leasesOf(Table);
-    int64_t Reg = static_cast<int64_t>(Idx) / Table->BatchN;
-    bool Settled = true;
-    for (int64_t I = Reg * Table->BatchN, E = I + Table->BatchN; I != E; ++I) {
-      int32_t St = Leases[I].State.load(std::memory_order_acquire);
-      if (St == LsPending || St == LsClaimed || St == LsReturned) {
-        Settled = false;
-        break;
-      }
-    }
-    if (Settled)
-      Ctl->childEventNotify();
-    return;
+  dropLeaseMark(Idx);
+  // One supervisor wakeup per settled region window instead of per
+  // lease: each notify costs the supervisor a sleep/wake round trip, and
+  // a delivery can only advance when its whole window is terminal
+  // anyway. The last finisher of a window is guaranteed to see every
+  // cell terminal (the terminal stores above are release, these loads
+  // acquire); two leases finishing back-to-back can at worst both
+  // notify, which is harmless. The scan runs from the window's end,
+  // where the unsettled cells of a window still in progress are.
+  LeaseCell *Leases = leasesOf(Table);
+  int64_t W0 = (Idx / BatchN) * BatchN;
+  for (int64_t I = W0 + BatchN; I-- != W0;) {
+    int32_t St = Leases[I].State.load(std::memory_order_acquire);
+    if (St == LsPending || St == LsClaimed || St == LsReturned)
+      return;
   }
-  // Wake the supervisor so freshly committed leases fold while the
-  // rest of the pool keeps running.
   Ctl->childEventNotify();
 }
 
@@ -1529,55 +1635,18 @@ void Runtime::workerLoop() {
   exitChild();
 }
 
-/// Next sample index for this worker: a lease returned by a dead worker
-/// first (re-run path), else the shared claim counter. -1 once both are
-/// exhausted.
-/// Claims one returned (orphaned-and-recovered) lease, if any is
-/// visible, via CAS on the cell state. Returns its index or -1.
-int Runtime::claimReturnedLease() {
-  if (Table->LeasesReturned.load(std::memory_order_acquire) <= 0)
-    return -1;
-  LeaseCell *Leases = leasesOf(Table);
-  int N = Table->NumLeases;
-  for (int I = 0; I != N; ++I) {
-    int32_t Expect = LsReturned;
-    if (Leases[I].State.compare_exchange_strong(Expect, LsClaimed,
-                                                std::memory_order_acq_rel)) {
-      Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
-      return I;
-    }
-  }
-  // Another worker won every visible return.
-  return -1;
-}
-
-int Runtime::claimLease() {
-  int N = Table->NumLeases;
-  for (;;) {
-    int Ret = claimReturnedLease();
-    if (Ret >= 0)
-      return Ret;
-    int64_t Idx = Ctl->leaseClaim(LeaseSlot);
-    if (Idx < N)
-      return static_cast<int>(Idx);
-    // Counter drained. A lease may still be returned after this check —
-    // the supervisor's wipe-out path (settlePoolLeases) covers that by
-    // forking a fresh worker, so exiting here is safe.
-    if (Table->LeasesReturned.load(std::memory_order_acquire) == 0)
-      return -1;
-  }
-}
-
-/// Live == 0 with the region not yet drained: decide every open lease's
+/// Live == 0 with the batch not yet drained: decide every open lease's
 /// fate. Orphans (claimed by a worker that died, or lost inside the
-/// claim window) are returned for re-running and one replacement worker
-/// is forked per pass, bounded by a respawn budget of N; past the budget
-/// — or past the region deadline — the stragglers are retired in place.
-/// Returns true once every lease is terminal.
+/// claim window) go through the retry rule, and one replacement worker
+/// is forked per pass, bounded by a respawn budget of one per lease; past
+/// the budget the stragglers are retired in place, and so are those of
+/// the delivering window once its region deadline has passed. Returns
+/// true once every lease is terminal.
 bool Runtime::settlePoolLeases() {
   LeaseCell *Leases = leasesOf(Table);
   int N = Table->NumLeases;
   int64_t CounterNext = Ctl->leaseNext(LeaseSlot);
+  int64_t W0 = windowBegin();
   bool DeadlinePassed = regionDeadlinePassed();
   bool BudgetLeft = RespawnsUsed < N;
   int Open = 0;
@@ -1595,12 +1664,13 @@ bool Runtime::settlePoolLeases() {
       ++RemoteOwned;
       continue;
     }
-    if (DeadlinePassed || !BudgetLeft) {
+    bool Expired = DeadlinePassed && I >= W0 && I < W0 + Table->BatchN;
+    if (Expired || !BudgetLeft) {
       // No more re-running: retire in place. Never-attempted leases are
       // ForkFailed (no process ever existed to run them) unless the
       // clock, not the pool, is what ran out.
       int32_t Final =
-          DeadlinePassed
+          Expired
               ? LsTimedOut
               : (L.Attempts.load(std::memory_order_relaxed) == 0
                      ? LsForkFailed
@@ -1610,33 +1680,19 @@ bool Runtime::settlePoolLeases() {
       L.State.store(Final, std::memory_order_relaxed);
       continue;
     }
-    if (St == LsClaimed) {
-      // Its owner is dead (nothing is live); route it through the same
-      // return-or-retire policy the reaper applies.
-      if (L.Attempts.load(std::memory_order_relaxed) < MaxLeaseAttempts) {
-        L.State.store(LsReturned, std::memory_order_relaxed);
-        Table->LeasesReturned.fetch_add(1, std::memory_order_release);
-        Ctl->noteLeaseReclaim();
-        traceEmit(obs::EventKind::LeaseReclaim, static_cast<uint64_t>(I));
-      } else {
-        L.State.store(LsCrashed, std::memory_order_relaxed);
-        continue;
-      }
-    } else if (St == LsPending && I < CounterNext) {
-      // The counter passed this index but no claim mark ever landed: the
-      // claimant died inside claimLease(). Make it re-claimable.
-      L.State.store(LsReturned, std::memory_order_relaxed);
-      Table->LeasesReturned.fetch_add(1, std::memory_order_release);
-      Ctl->noteLeaseReclaim();
-      traceEmit(obs::EventKind::LeaseReclaim, static_cast<uint64_t>(I));
-    }
+    // A claimed lease's owner is dead (nothing is live); a pending one
+    // the counter already passed lost its claimant inside the claim
+    // window. Both are orphans. A second-time orphan retires as Crashed.
+    if ((St == LsClaimed || (St == LsPending && I < CounterNext)) &&
+        !returnOrRetireLease(I, St, /*Timed=*/false, /*Signal=*/0))
+      continue;
     ++Open;
   }
   if (Open == 0)
     return RemoteOwned == 0;
   // Fork one replacement worker into the next respawn slot; if its fork
   // fails the budget still shrinks, so this loop terminates.
-  int SlotIdx = RegionWorkers + RespawnsUsed++;
+  int SlotIdx = Table->NumMains + RespawnsUsed++;
   ChildSlot &S = slotsOf(Table)[SlotIdx];
   S.Status.store(static_cast<int32_t>(SampleStatus::Running),
                  std::memory_order_relaxed);
@@ -1650,159 +1706,132 @@ bool Runtime::settlePoolLeases() {
   return false;
 }
 
-/// Region deadline in a pool region: killStragglers() already marked the
-/// live workers TimedOut (their claimed leases follow suit through
-/// reclaimWorkerLease); everything still unclaimed or returned can never
-/// run inside the budget either.
-void Runtime::markLeasesTimedOut() {
+/// Region deadline in a pool region: retires the unclaimed leases of the
+/// delivering window — Pending ones (the claim's CAS then skips them) and
+/// Returned ones — as TimedOut; none of them can run inside the budget.
+/// Claimed ones follow when killStragglers() kills their workers. Later
+/// regions' leases are untouched: their own deadlines start when they
+/// are delivered.
+int Runtime::markLeasesTimedOut() {
   LeaseCell *Leases = leasesOf(Table);
-  for (int I = 0, N = Table->NumLeases; I != N; ++I) {
-    for (int32_t From : {LsPending, LsReturned, LsClaimed}) {
+  int Retired = 0;
+  for (int64_t I = windowBegin(), E = I + Table->BatchN; I != E; ++I) {
+    for (int32_t From : {LsPending, LsReturned}) {
       int32_t Expect = From;
       if (Leases[I].State.compare_exchange_strong(
               Expect, LsTimedOut, std::memory_order_acq_rel)) {
         if (From == LsReturned)
           Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
+        ++Retired;
         break;
       }
     }
   }
+  return Retired;
 }
 
-void Runtime::samplingRegion(int N, const RegionOptions &Ro,
-                             const std::function<void()> &Body) {
-  assert(Inited && "samplingRegion() before init()");
-  assert(N > 0 && "region needs at least one sample");
-  assert(Body && "samplingRegion() needs a body callback");
-  // Rule [SAMPLING] only applies in a tuning process; a sampling process
-  // (fork-mode child or pool worker) must not open nested regions.
-  if (isSampling())
-    return;
-  assert(!RegionActive && "nested @sampling regions are not supported");
-  maybeRecycleSlab();
-
-  ++RegionCounter;
-  RegionDirPath = regionDir(RegionCounter); // created lazily on fallback
-  FoldScalars.clear();
-  FoldVotes.clear();
-  FoldMeanVecs.clear();
-  FoldedPairs.clear();
-  RegionSlabStart = Ctl->slabAllocated();
-  RegionShmStart = Ctl->slabPublishedTotal();
-  for (int R = 0; R != obs::NumFallbackReasons; ++R)
-    RegionFallbackStart[R] =
-        Ctl->slabFallbacks(static_cast<obs::FallbackReason>(R));
-  RegionT0 = monoNow();
-  traceEmit(obs::EventKind::RegionBegin, RegionCounter,
-            static_cast<uint64_t>(N));
-
-  RegionN = N;
-  RegionKind = Ro.Kind;
-  RegionUsedSync = false;
-  NumSpares = 0; // lease retry replaces spare-based retry
-  NextSpare = 0;
-  double TimeoutSec =
-      Ro.TimeoutSec >= 0 ? Ro.TimeoutSec : Opts.SampleTimeoutSec;
-  RegionHasDeadline = TimeoutSec > 0;
-  RegionDeadline = RegionHasDeadline ? monoNow() + TimeoutSec : 0;
-
-  RegionIsPool = true;
-  RegionBody = Body;
-  RespawnsUsed = 0;
-  // The tuning process holds a pool slot of its own, so W == maxPool
-  // would deadlock the spawn loop.
-  int MaxWorkers = std::max(1, static_cast<int>(Ctl->maxPool()) - 1);
-  int W = Ro.Workers > 0
-              ? Ro.Workers
-              : (Opts.WorkerPool > 0 ? static_cast<int>(Opts.WorkerPool)
-                                     : MaxWorkers);
-  W = std::max(1, std::min({W, MaxWorkers, N}));
-
-  // Distributed agents fork here, lazily, for the same reason zygotes
-  // do: the region body must already be part of their image.
-  if (NetServer)
-    spawnNetAgents();
-
-  // Zygote nursery: eligible regions run on pre-forked parked workers
-  // woken through the shared board — no per-region fork, no per-region
-  // table mmap. Root tuning process only (a @split tp would need a
-  // nursery of its own), bounded by the board's lease capacity.
-  if (Opts.Zygotes > 0 && IsRoot && N <= ZygoteLeaseCap) {
-    openZygoteRegion(N, N, W, N);
-    netOpenRegion();
-    RegionActive = true;
-    Body();
-    assert(!RegionActive && "samplingRegion() body must call aggregate()");
-    RegionBody = nullptr;
-    return;
+/// Opens the child table and flat lease table of a batch and starts its
+/// workers. Eligible batches run on the zygote nursery: the board's
+/// table, which lives in the control-block mapping every zygote shares,
+/// is reset in place and the parked zygotes are woken with a generation
+/// bump — no fork, no mmap. Root tuning process only (a @split tp would
+/// need a nursery of its own), bounded by the board's lease capacity.
+/// Every other batch maps a fresh table and forks \p W workers into it;
+/// forked children enter workerLoop() inside forkPoolWorker() and never
+/// return, so past this call we are always the tuning process. Either
+/// way the table holds one slot per worker (or nursery member), one
+/// respawn slot per lease (used only when every worker died with leases
+/// still open — at most one respawn per lease), then the lease cells.
+/// \p ClaimInit seeds the pipeline's claim limit.
+void Runtime::openLeaseTable(uint64_t Base, int Regions, int N, int W,
+                             int64_t ClaimInit) {
+  int Total = Regions * N;
+  RegionIsZygote = Opts.Zygotes > 0 && IsRoot && Total <= ZygoteLeaseCap;
+  int Mains = W;
+  if (RegionIsZygote) {
+    spawnZygotes();
+    Mains = NumZygotes;
+    Table = zygoteTableOf(static_cast<ZygoteBoard *>(Ctl->auxRegion()));
+    TableBytes = 0;
+  } else {
+    TableBytes = sizeof(RegionTable) +
+                 static_cast<size_t>(Mains + Total) * sizeof(ChildSlot) +
+                 static_cast<size_t>(Total) * sizeof(LeaseCell);
+    void *Mem = sys::mmapShared(TableBytes);
+    if (Mem == MAP_FAILED)
+      sys::fatal("mmap of region child table (%zu bytes) failed: %s",
+                 TableBytes, std::strerror(errno));
+    Table = static_cast<RegionTable *>(Mem);
+    Table->ParkLock.init();
   }
-  openPoolTable(W, N, N);
-  netOpenRegion();
 
-  // Tuning side: run the body once ourselves. Sampling primitives no-op,
-  // and the body's aggregate() call performs the supervision above.
-  RegionActive = true;
-  Body();
-  assert(!RegionActive && "samplingRegion() body must call aggregate()");
-  RegionBody = nullptr;
-}
-
-/// Maps the fresh per-region child table + lease table and forks \p W
-/// pool workers into it. \p TotalLeases is N for a plain pool region and
-/// Regions * N for a batch (one flat lease space over every region's
-/// window); \p ClaimInit seeds the batch claim limit — TotalLeases when
-/// not batching, so the gate in runLeases() never parks anyone. Forked
-/// children enter workerLoop() inside forkPoolWorker() and never return;
-/// past the fork loop we are always the tuning process.
-void Runtime::openPoolTable(int W, int TotalLeases, int64_t ClaimInit) {
-  RegionWorkers = W;
-
+  // Every field is written, so the board's persistent table resets
+  // exactly like a freshly mapped one.
+  int NumSlots = Mains + Total;
+  Table->NumMains = Mains;
+  Table->NumSlots = NumSlots;
+  Table->PoolMode = 1;
+  Table->NumLeases = Total;
+  Table->LeasesReturned.store(0, std::memory_order_relaxed);
+  Table->BatchCount = Regions;
+  Table->BatchN = N;
+  Table->BatchBase = Base;
+  Table->ClaimLimit.store(ClaimInit, std::memory_order_release);
+  ChildSlot *Slots = slotsOf(Table);
+  int Workers = 0;
+  for (int I = 0; I != NumSlots; ++I) {
+    ChildSlot &S = Slots[I];
+    pid_t Pid = RegionIsZygote && I < Mains ? ZygotePids[I] : 0;
+    // Forked workers all run. Live zygotes run up to the worker cap; the
+    // rest (and dead slots the respawn budget could not refill) sit this
+    // batch out. Respawn slots start outside the barrier, like spares.
+    bool Runs = I < Mains && (!RegionIsZygote || Pid > 0) && Workers < W;
+    Workers += Runs;
+    S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
+    S.SlotHeld.store(0, std::memory_order_relaxed);
+    S.BarrierLeft.store(Runs ? 0 : 1, std::memory_order_relaxed);
+    S.InBarrier.store(0, std::memory_order_relaxed);
+    S.Status.store(static_cast<int32_t>(Runs ? SampleStatus::Running
+                                             : SampleStatus::Unused),
+                   std::memory_order_relaxed);
+    S.Signal.store(0, std::memory_order_relaxed);
+    S.Command.store(RegionIsZygote && Runs ? SpActivate : SpPark,
+                    std::memory_order_relaxed);
+    S.CurrentLease.store(-1, std::memory_order_relaxed);
+  }
+  LeaseCell *Leases = leasesOf(Table);
+  for (int I = 0; I != Total; ++I) {
+    Leases[I].State.store(LsPending, std::memory_order_relaxed);
+    Leases[I].Signal.store(0, std::memory_order_relaxed);
+    Leases[I].Attempts.store(0, std::memory_order_relaxed);
+  }
+  Reaped.assign(static_cast<size_t>(NumSlots), 0);
   LeaseSlot = Ctl->acquireLeaseSlot();
   Ctl->leaseReset(LeaseSlot);
   BarrierSlot = Ctl->acquireBarrierSlot();
-  Ctl->barrierReset(BarrierSlot, W);
+  Ctl->barrierReset(BarrierSlot, Workers);
 
-  // W worker slots plus one respawn slot per lease (used only when every
-  // worker died with leases still open — at most one respawn per lease),
-  // then the lease table.
-  int NumSlots = W + TotalLeases;
-  TableBytes = sizeof(RegionTable) +
-               static_cast<size_t>(NumSlots) * sizeof(ChildSlot) +
-               static_cast<size_t>(TotalLeases) * sizeof(LeaseCell);
-  void *Mem = sys::mmapShared(TableBytes);
-  if (Mem == MAP_FAILED)
-    sys::fatal("mmap of region child table (%zu bytes) failed: %s",
-               TableBytes, std::strerror(errno));
-  std::memset(Mem, 0, TableBytes);
-  Table = static_cast<RegionTable *>(Mem);
-  Table->ParkLock.init();
-  Table->NumMains = W;
-  Table->NumSlots = NumSlots;
-  Table->PoolMode = 1;
-  Table->NumLeases = TotalLeases;
-  Table->BatchCount = BatchActive ? BatchRegions : 1;
-  Table->BatchN = BatchActive ? BatchN : TotalLeases;
-  Table->BatchBase = RegionCounter;
-  Table->ClaimLimit.store(ClaimInit, std::memory_order_release);
-  ChildSlot *Slots = slotsOf(Table);
-  for (int I = 0; I != NumSlots; ++I) {
-    bool IsRespawn = I >= W;
-    Slots[I].BarrierLeft.store(IsRespawn ? 1 : 0, std::memory_order_relaxed);
-    Slots[I].Status.store(
-        static_cast<int32_t>(IsRespawn ? SampleStatus::Unused
-                                       : SampleStatus::Running),
-        std::memory_order_relaxed);
-    Slots[I].CurrentLease.store(-1, std::memory_order_relaxed);
+  if (!RegionIsZygote) {
+    for (int I = 0; I != W; ++I)
+      forkPoolWorker(I);
+    return;
   }
-  // Lease cells: memset already made them {LsPending, 0, 0}.
-  Reaped.assign(static_cast<size_t>(NumSlots), 0);
-
-  for (int I = 0; I != W; ++I)
-    forkPoolWorker(I);
+  // Publish the region snapshot, then wake the nursery; the board mutex
+  // orders everything above ahead of every woken zygote's reads.
+  auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
+  B->Region = RegionCounter;
+  B->N = N;
+  B->Kind = static_cast<int32_t>(RegionKind);
+  B->LeaseSlot = LeaseSlot;
+  B->BarrierSlot = BarrierSlot;
+  pthread_mutex_lock(&B->Lock.Mutex);
+  B->Generation.fetch_add(1, std::memory_order_relaxed);
+  pthread_cond_broadcast(&B->Lock.Cond);
+  pthread_mutex_unlock(&B->Lock.Mutex);
 }
 
-/// Raises the batch claim limit and wakes workers parked on it. Shares
-/// ParkLock with spare parking — both are rare, coarse wakeups.
+/// Raises the pipeline's claim limit and wakes workers parked on it.
+/// Shares ParkLock with spare parking — both are rare, coarse wakeups.
 void Runtime::advanceClaimLimit(int64_t NewLimit) {
   if (!Table || Table->ClaimLimit.load(std::memory_order_acquire) >= NewLimit)
     return;
@@ -1820,14 +1849,15 @@ void Runtime::advanceClaimLimit(int64_t NewLimit) {
 /// to Exhausted file fallbacks once the cumulative commit volume passes
 /// the slab's capacity. Parked zygotes never touch the slab, so they
 /// don't block recycling.
-void Runtime::maybeRecycleSlab() {
+bool Runtime::maybeRecycleSlab() {
   if (Opts.Backend != StoreBackend::Shm || !IsRoot || RegionActive)
-    return;
+    return false;
   if (Ctl->liveTuningProcesses() != 1 || !Ctl->slabNeedsRecycle())
-    return;
+    return false;
   uint64_t Retired = Ctl->slabAllocated();
   Ctl->slabRecycle();
   traceEmit(obs::EventKind::SlabRecycle, Ctl->slabEpoch(), Retired);
+  return true;
 }
 
 void Runtime::regionBatch(int Regions, int N, const RegionOptions &Ro,
@@ -1836,111 +1866,90 @@ void Runtime::regionBatch(int Regions, int N, const RegionOptions &Ro,
   assert(Regions > 0 && N > 0 && "batch needs regions and samples");
   assert(Body && "regionBatch() needs a body callback");
   // Rule [SAMPLING] only applies in a tuning process; a sampling process
-  // must not open nested regions.
+  // (fork-mode child or pool worker) must not open nested regions.
   if (isSampling())
     return;
-  int K = std::min(Ro.Pipeline, Regions);
-  if (K <= 1 || Regions == 1) {
-    // Degenerate pipeline: plain sequential regions, same results.
-    for (int R = 0; R != Regions; ++R)
-      samplingRegion(N, Ro, Body);
-    return;
-  }
   assert(!RegionActive && "nested @sampling regions are not supported");
   maybeRecycleSlab();
 
   int64_t Total = static_cast<int64_t>(Regions) * N;
-  BatchActive = true;
-  BatchRegions = Regions;
-  BatchN = N;
-  BatchBase = RegionCounter + 1;
-  RegionCounter = BatchBase; // forked workers start in the first region
-  RegionDirPath = regionDir(RegionCounter);
-  RegionN = N;
-  RegionKind = Ro.Kind;
-  RegionUsedSync = false;
-  NumSpares = 0;
-  NextSpare = 0;
-  RegionIsPool = true;
-  RegionBody = Body;
-  RespawnsUsed = 0;
-  double TimeoutSec =
-      Ro.TimeoutSec >= 0 ? Ro.TimeoutSec : Opts.SampleTimeoutSec;
+  uint64_t Base = RegionCounter + 1;
   // One slab watermark for every delivery: by the time region R is
   // delivered, commits of regions > R may already be published; each
   // delivery rescans the batch window and folds only its own region's
   // records (the E.Region filter).
   RegionSlabStart = Ctl->slabAllocated();
+  // A lone region traces as a plain region; only a real batch gets a
+  // span around its regions.
+  if (Regions > 1)
+    traceEmit(obs::EventKind::BatchBegin, Base,
+              static_cast<uint64_t>(Regions));
+  // The first region opens before its workers do, so its store-counter
+  // window and its latency cover their whole run.
+  beginRegion(Base, N, Ro);
+  NumSpares = 0; // lease retry replaces spare-based retry
+  NextSpare = 0;
+  RegionBody = Body;
+  RespawnsUsed = 0;
 
+  // The tuning process holds a pool slot of its own, so W == maxPool
+  // would deadlock the spawn loop.
   int MaxWorkers = std::max(1, static_cast<int>(Ctl->maxPool()) - 1);
   int W = Ro.Workers > 0
               ? Ro.Workers
               : (Opts.WorkerPool > 0 ? static_cast<int>(Opts.WorkerPool)
                                      : MaxWorkers);
-  W = std::min(W, MaxWorkers);
-  if (Total < W)
-    W = static_cast<int>(Total);
-  W = std::max(1, W);
+  W = static_cast<int>(
+      std::max<int64_t>(1, std::min<int64_t>({W, MaxWorkers, Total})));
+  // Workers may claim leases up to K regions ahead of the oldest
+  // undelivered one; each completed delivery slides the window forward.
+  int64_t K = std::max(1, std::min(Ro.Pipeline, Regions));
 
-  traceEmit(obs::EventKind::BatchBegin, BatchBase,
-            static_cast<uint64_t>(Regions));
-  // Workers may sample up to K regions ahead of the oldest undelivered
-  // one; each completed delivery slides the window forward.
-  int64_t ClaimInit = std::min<int64_t>(Total, static_cast<int64_t>(K) * N);
+  // Distributed agents fork here, lazily, for the same reason zygotes
+  // do: the region body must already be part of their image.
   if (NetServer)
     spawnNetAgents();
-  if (Opts.Zygotes > 0 && IsRoot && Total <= ZygoteLeaseCap)
-    openZygoteRegion(N, static_cast<int>(Total), W, ClaimInit);
-  else
-    openPoolTable(W, static_cast<int>(Total), ClaimInit);
+  openLeaseTable(Base, Regions, N, W, std::min(Total, K * N));
   // One lease window spans the whole batch, mirroring the local claim
   // counter: agents roll across regions without a round-trip per region.
   netOpenRegion();
 
   // Deliver each region in submission order. The body runs with exactly
-  // the region identity sequential samplingRegion() calls would give it;
-  // its aggregate() call waits only for this region's lease window.
+  // the region identity sequential regions would give it; its
+  // aggregate() call waits only for this region's lease window, except
+  // the last delivery's, which also waits for the workers to exit.
+  uint64_t Opener = TpId;
   for (int R = 0; R != Regions; ++R) {
-    RegionCounter = BatchBase + static_cast<uint64_t>(R);
-    RegionDirPath = regionDir(RegionCounter);
-    FoldScalars.clear();
-    FoldVotes.clear();
-    FoldMeanVecs.clear();
-    FoldedPairs.clear();
-    // Store-counter watermarks are per-delivery: a batch region's counts
-    // attribute commits by when they were published, not which region
-    // produced them (overlap makes exact attribution impossible here).
-    RegionShmStart = Ctl->slabPublishedTotal();
-    for (int F = 0; F != obs::NumFallbackReasons; ++F)
-      RegionFallbackStart[F] =
-          Ctl->slabFallbacks(static_cast<obs::FallbackReason>(F));
-    RegionHasDeadline = TimeoutSec > 0;
-    RegionDeadline = RegionHasDeadline ? monoNow() + TimeoutSec : 0;
-    RegionT0 = monoNow();
-    traceEmit(obs::EventKind::RegionBegin, RegionCounter,
-              static_cast<uint64_t>(N));
+    if (R)
+      beginRegion(Base + static_cast<uint64_t>(R), N, Ro);
     RegionActive = true;
     Body();
     assert(!RegionActive && "regionBatch() body must call aggregate()");
-    advanceClaimLimit(
-        std::min<int64_t>(Total, static_cast<int64_t>(R + 1 + K) * N));
+    if (TpId != Opener) {
+      // A @split child forked inside this delivery's callback. The
+      // table, workers and slots stay with the parent (split() dropped
+      // them); like a split child of sequential regions, it runs the
+      // remaining regions itself.
+      if (R + 1 != Regions)
+        regionBatch(Regions - R - 1, N, Ro, Body);
+      return;
+    }
+    // With one region in flight, every worker waits at the gate until
+    // the limit below rises and no commit is in progress, so the slab
+    // may recycle here just as between separate regions.
+    if (K == 1 && R + 1 != Regions && maybeRecycleSlab())
+      RegionSlabStart = Ctl->slabAllocated();
+    advanceClaimLimit(std::min(Total, (R + 1 + K) * N));
   }
-  traceEmit(obs::EventKind::BatchEnd, BatchBase,
-            static_cast<uint64_t>(Regions));
+  if (Regions > 1)
+    traceEmit(obs::EventKind::BatchEnd, Base, static_cast<uint64_t>(Regions));
 
-  // The teardown aggregate() skipped for every delivery.
-  netCloseRegion();
   destroyRegionTable();
   RegionIsZygote = false;
   Ctl->releaseBarrierSlot(BarrierSlot);
   Ctl->releaseLeaseSlot(LeaseSlot);
   LeaseSlot = -1;
-  RegionIsPool = false;
   RegionBody = nullptr;
-  BatchActive = false;
-  BatchRegions = 0;
-  BatchN = 0;
-  BatchBase = 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -2056,7 +2065,7 @@ void Runtime::zygoteLoop(int Slot, uint64_t StartGen) {
                                            static_cast<uint64_t>(Slot)));
     // Parked zygotes hold no pool slot; take one for the region like an
     // activated spare does.
-    Ctl->acquireSlot(/*IsTuning=*/false);
+    acquireSlotKillable();
     Me.SlotHeld.store(1, std::memory_order_release);
     Ctl->noteZygoteRestore();
     traceEmit(obs::EventKind::ZygoteRestore, RegionCounter,
@@ -2079,100 +2088,6 @@ void Runtime::zygoteLoop(int Slot, uint64_t StartGen) {
     Me.Command.store(SpPark, std::memory_order_release);
     Ctl->childEventNotify();
   }
-}
-
-/// Opens a pool region on the zygote board instead of a fresh table:
-/// reset the board's slots and lease cells for this region, publish the
-/// region snapshot, and wake the nursery with a generation bump. No
-/// fork, no mmap — the board lives in the control-block mapping every
-/// zygote already shares. A pipelined batch opens the board ONCE for the
-/// whole run of regions: \p TotalLeases spans every region's window and
-/// the nursery is woken a single time, so zygotes roll from one region's
-/// last lease straight into the next without re-parking. Returns the
-/// number of participants.
-int Runtime::openZygoteRegion(int N, int TotalLeases, int MaxW,
-                              int64_t ClaimInit) {
-  spawnZygotes();
-  auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
-  RegionTable *T = zygoteTableOf(B);
-  Table = T;
-  TableBytes = 0;
-  RegionIsZygote = true;
-  int Z = NumZygotes;
-  RegionWorkers = Z; // respawn slots start after the nursery slots
-
-  LeaseSlot = Ctl->acquireLeaseSlot();
-  Ctl->leaseReset(LeaseSlot);
-  BarrierSlot = Ctl->acquireBarrierSlot();
-
-  int NumSlots = Z + TotalLeases;
-  T->NumMains = Z;
-  T->NumSlots = NumSlots;
-  T->PoolMode = 1;
-  T->NumLeases = TotalLeases;
-  T->LeasesReturned.store(0, std::memory_order_relaxed);
-  // The board table persists across regions (no memset): the batch
-  // fields must be stored explicitly every time.
-  T->BatchCount = BatchActive ? BatchRegions : 1;
-  T->BatchN = BatchActive ? BatchN : TotalLeases;
-  T->BatchBase = RegionCounter;
-  T->ClaimLimit.store(ClaimInit, std::memory_order_release);
-  ChildSlot *Slots = slotsOf(T);
-  // Live zygotes become participants up to the worker cap; the rest (and
-  // dead slots the respawn budget could not refill) sit this region out.
-  int Want = std::min(MaxW, TotalLeases);
-  int P = 0;
-  for (int I = 0; I != Z; ++I) {
-    ChildSlot &S = Slots[I];
-    bool Part = ZygotePids[I] > 0 && P < Want;
-    S.Pid.store(static_cast<int32_t>(ZygotePids[I]),
-                std::memory_order_relaxed);
-    S.SlotHeld.store(0, std::memory_order_relaxed);
-    S.BarrierLeft.store(Part ? 0 : 1, std::memory_order_relaxed);
-    S.InBarrier.store(0, std::memory_order_relaxed);
-    S.Status.store(static_cast<int32_t>(Part ? SampleStatus::Running
-                                             : SampleStatus::Unused),
-                   std::memory_order_relaxed);
-    S.Signal.store(0, std::memory_order_relaxed);
-    S.Command.store(Part ? SpActivate : SpPark, std::memory_order_relaxed);
-    S.CurrentLease.store(-1, std::memory_order_relaxed);
-    P += Part;
-  }
-  for (int I = Z; I != NumSlots; ++I) {
-    // Respawn slots, filled by settlePoolLeases() only if the whole
-    // participant set dies with leases open.
-    ChildSlot &S = Slots[I];
-    S.Pid.store(0, std::memory_order_relaxed);
-    S.SlotHeld.store(0, std::memory_order_relaxed);
-    S.BarrierLeft.store(1, std::memory_order_relaxed);
-    S.InBarrier.store(0, std::memory_order_relaxed);
-    S.Status.store(static_cast<int32_t>(SampleStatus::Unused),
-                   std::memory_order_relaxed);
-    S.Signal.store(0, std::memory_order_relaxed);
-    S.Command.store(SpPark, std::memory_order_relaxed);
-    S.CurrentLease.store(-1, std::memory_order_relaxed);
-  }
-  LeaseCell *Leases = leasesOf(T);
-  for (int I = 0; I != TotalLeases; ++I) {
-    Leases[I].State.store(LsPending, std::memory_order_relaxed);
-    Leases[I].Signal.store(0, std::memory_order_relaxed);
-    Leases[I].Attempts.store(0, std::memory_order_relaxed);
-  }
-  Reaped.assign(static_cast<size_t>(NumSlots), 0);
-  Ctl->barrierReset(BarrierSlot, P);
-
-  // Publish the region snapshot, then wake the nursery; the board mutex
-  // orders everything above ahead of every woken zygote's reads.
-  B->Region = RegionCounter;
-  B->N = N;
-  B->Kind = static_cast<int32_t>(RegionKind);
-  B->LeaseSlot = LeaseSlot;
-  B->BarrierSlot = BarrierSlot;
-  pthread_mutex_lock(&B->Lock.Mutex);
-  B->Generation.fetch_add(1, std::memory_order_relaxed);
-  pthread_cond_broadcast(&B->Lock.Cond);
-  pthread_mutex_unlock(&B->Lock.Mutex);
-  return P;
 }
 
 /// Root finish(): wake every parked zygote with ZbExit and reap it. The
@@ -2271,8 +2186,8 @@ void Runtime::shutdownNetAgents() {
   NetServer.reset();
 }
 
-/// Opens the server's lease window over the region (or, in a batch, the
-/// whole flat lease space), so agents can start claiming. The window
+/// Opens the server's lease window over the batch's whole flat lease
+/// space, so agents can start claiming. The window
 /// carries everything an agent needs to impersonate a local worker:
 /// batch geometry for the lease→region mapping and the sampling kind
 /// for stratified draws.
@@ -2290,41 +2205,21 @@ void Runtime::netCloseRegion() {
     NetServer->closeRegion();
 }
 
-/// Server callback: claim up to \p Want leases for a remote agent.
-/// Returned leases first (the re-run path local workers also prefer),
-/// then the bounded shared counter — the identical policy of
-/// claimLeaseGated(), just batched. The claim marks (LsClaimed,
+/// Server callback: claim up to \p Want leases for a remote agent —
+/// the local workers' claim (tryClaimLease: returned leases first, then
+/// the bounded shared counter), just batched. The claim marks (LsClaimed,
 /// Attempts) are applied here, in the tuning process, so by the time
 /// anyone else looks a remote claim is indistinguishable from a local
 /// one.
 std::vector<int64_t> Runtime::netClaimLeases(uint32_t Want) {
   std::vector<int64_t> Out;
-  if (!Table || !Table->PoolMode || !RegionIsPool)
+  if (!Table || !Table->PoolMode)
     return Out;
-  LeaseCell *Leases = leasesOf(Table);
-  int N = Table->NumLeases;
   while (Out.size() < Want) {
-    int64_t Idx = -1;
-    if (Table->LeasesReturned.load(std::memory_order_acquire) > 0) {
-      for (int I = 0; I != N; ++I) {
-        int32_t Expect = LsReturned;
-        if (Leases[I].State.compare_exchange_strong(
-                Expect, LsClaimed, std::memory_order_acq_rel)) {
-          Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
-          Idx = I;
-          break;
-        }
-      }
-    }
-    if (Idx < 0) {
-      int64_t Bound = std::min<int64_t>(
-          Table->ClaimLimit.load(std::memory_order_acquire), N);
-      Idx = Ctl->leaseClaimBounded(LeaseSlot, Bound);
-      if (Idx < 0)
-        break; // drained (or pipeline-gated): the agent re-asks later
-      Leases[Idx].State.store(LsClaimed, std::memory_order_relaxed);
-    }
-    Leases[Idx].Attempts.fetch_add(1, std::memory_order_relaxed);
+    int Idx = tryClaimLease(/*Worker=*/false);
+    if (Idx < 0)
+      break; // drained (or pipeline-gated): the agent re-asks later
+    leasesOf(Table)[Idx].Attempts.fetch_add(1, std::memory_order_relaxed);
     Out.push_back(Idx);
   }
   return Out;
@@ -2347,9 +2242,8 @@ void Runtime::netApplyCommit(const net::LeaseResult &R) {
     return;
   if (!Committed)
     return;
-  // Batch lease → (region, local sample index), same mapping the
-  // folding sweep uses; non-batch tables have BatchN == NumLeases so
-  // this degenerates to the identity.
+  // Lease → (region, local sample index), same mapping the folding
+  // sweep uses.
   uint64_t Reg = Table->BatchBase + static_cast<uint64_t>(R.Lease) /
                                         static_cast<uint64_t>(Table->BatchN);
   int Child = static_cast<int>(R.Lease % Table->BatchN);
@@ -2359,7 +2253,7 @@ void Runtime::netApplyCommit(const net::LeaseResult &R) {
     if (Opts.Backend == StoreBackend::Shm) {
       if (V.Bytes.size() <= Opts.ShmRecordThreshold) {
         if (Ctl->slabCommit(TpId, Reg, V.Name, Child, V.Bytes.data(),
-                            V.Bytes.size(), false))
+                            V.Bytes.size()))
           continue;
       } else {
         Ctl->noteSlabFallback(obs::FallbackReason::Oversized);
@@ -2371,33 +2265,17 @@ void Runtime::netApplyCommit(const net::LeaseResult &R) {
   }
 }
 
-/// Server callback: a disconnected agent's still-owned lease. Inside the
-/// region budget it goes back to the pool through the same one-retry
-/// machinery that covers crashed local workers; past the deadline it is
-/// retired as timed out, and a second-time orphan as crashed.
+/// Server callback: a disconnected agent's still-owned lease goes
+/// through the same retry rule that covers crashed local workers, timed
+/// out if it belongs to the delivering window past its region deadline.
 bool Runtime::netReturnLease(int64_t Lease) {
   if (!Table || !Table->PoolMode || Lease < 0 || Lease >= Table->NumLeases)
     return false;
-  LeaseCell &L = leasesOf(Table)[Lease];
-  int32_t Expect = LsClaimed;
-  if (regionDeadlinePassed()) {
-    L.State.compare_exchange_strong(Expect, LsTimedOut,
-                                    std::memory_order_acq_rel);
-    return false;
-  }
-  if (L.Attempts.load(std::memory_order_relaxed) < MaxLeaseAttempts) {
-    if (L.State.compare_exchange_strong(Expect, LsReturned,
-                                        std::memory_order_acq_rel)) {
-      Table->LeasesReturned.fetch_add(1, std::memory_order_release);
-      Ctl->noteLeaseReclaim();
-      traceEmit(obs::EventKind::LeaseReclaim, static_cast<uint64_t>(Lease));
-      return true;
-    }
-    return false;
-  }
-  L.State.compare_exchange_strong(Expect, LsCrashed,
-                                  std::memory_order_acq_rel);
-  return false;
+  int64_t W0 = windowBegin();
+  bool Timed = regionDeadlinePassed() && Lease >= W0 &&
+               Lease < W0 + Table->BatchN;
+  return returnOrRetireLease(static_cast<int>(Lease), LsClaimed, Timed,
+                             /*Signal=*/0);
 }
 
 /// An agent's whole life: connect, Hello, then claim lease ranges and
@@ -2658,8 +2536,7 @@ void Runtime::commitBytes(const std::string &Var,
       FellBack = true;
       Why = obs::FallbackReason::Oversized;
     } else if (Ctl->slabCommit(TpId, RegionCounter, Var, ChildIndex,
-                               Bytes.data(), Bytes.size(),
-                               ChildIndex == Opts.DebugKillMidCommitAt)) {
+                               Bytes.data(), Bytes.size())) {
       uint64_t Ns = static_cast<uint64_t>((monoNow() - T0) * 1e9);
       Ctl->recordCommitLatency(Ns);
       traceEmit(obs::EventKind::StoreCommit, /*Backend=*/0, Ns);
@@ -2732,27 +2609,23 @@ void Runtime::aggregate(const std::string &Var,
   // committing (pruned by @check, or crashed) simply has no record in
   // the store. Registered fold accumulators were filled incrementally
   // during the sweeps; foldRemaining() below tops them up with whatever
-  // went through the file path. Pool mode additionally requires every
-  // lease to reach a terminal state: all workers exiting with leases
+  // went through the file path.
+  //
+  // A pool region is one delivery of regionBatch(): it waits only for
+  // its own region's lease window to settle — workers are meanwhile
+  // already sampling the next regions, which is the whole point. The
+  // batch's last delivery also waits for the workers to exit, and then
+  // requires every lease to be terminal: all workers exiting with leases
   // still open (a wipe-out) makes settlePoolLeases() return the orphans
   // and fork a replacement worker.
-  //
-  // Pipelined batch: this delivery only waits for its own region's lease
-  // window to settle — workers are meanwhile already sampling the next
-  // regions, which is the whole point. Only the batch's last delivery
-  // waits for the workers themselves to exit.
-  bool Batched = BatchActive;
+  bool Pool = Table->PoolMode != 0;
+  size_t WindowN = Pool ? static_cast<size_t>(Table->BatchN) : 0;
+  size_t W0 = Pool ? static_cast<size_t>(RegionCounter - Table->BatchBase) *
+                         WindowN
+                   : 0;
   bool LastDelivery =
-      !Batched ||
-      RegionCounter == BatchBase + static_cast<uint64_t>(BatchRegions) - 1;
-  size_t W0 =
-      Batched ? static_cast<size_t>(RegionCounter - BatchBase) *
-                    static_cast<size_t>(BatchN)
-              : 0;
-  size_t WindowN = Batched ? static_cast<size_t>(BatchN)
-                           : (RegionIsPool
-                                  ? static_cast<size_t>(Table->NumLeases)
-                                  : 0);
+      !Pool || RegionCounter + 1 ==
+                   Table->BatchBase + static_cast<uint64_t>(Table->BatchCount);
   auto windowSettled = [&]() {
     LeaseCell *Leases = leasesOf(Table);
     for (size_t I = W0, E = W0 + WindowN; I != E; ++I) {
@@ -2770,28 +2643,36 @@ void Runtime::aggregate(const std::string &Var,
     // full 50 ms of dead time per region).
     uint64_t EventsSeen = Ctl->childEventCount();
     int Live = sweepChildren();
+    if (!LastDelivery && windowSettled())
+      break;
     // Remote agents hold no worker slot, so Live == 0 says nothing about
     // them: while the server still has owned leases, keep pumping — the
     // plain settle path would busy-spin without ever reading the wire.
     bool NetBusy = NetServer && NetServer->busy();
-    if (Batched && windowSettled() && (!LastDelivery || (Live == 0 && !NetBusy)))
-      break;
     if (Live == 0 && !NetBusy) {
-      if (!RegionIsPool || settlePoolLeases())
+      if (!Pool || settlePoolLeases())
         break;
       continue;
     }
     if (regionDeadlinePassed()) {
-      killStragglers();
-      if (RegionIsPool)
-        markLeasesTimedOut();
-      // Remotely owned leases were just retired as timed out; dropping
-      // the connections lets the Return callback agree (past-deadline
-      // returns retire) and unblocks the settle gate above. The agents
-      // reconnect on their own for the next region.
-      if (NetServer && NetServer->regionOpen())
+      // Retire the window's unclaimed leases first, so no worker can
+      // claim one after the kill pass has looked at it.
+      int Acted = Pool ? markLeasesTimedOut() : 0;
+      Acted += killStragglers();
+      // Remotely owned leases retire through the Return callback, which
+      // dropping the connections runs (the window's past-deadline
+      // returns retire, later windows' go back to the pool); that also
+      // unblocks the settle gate above. The agents reconnect on their
+      // own.
+      if (NetServer && NetServer->regionOpen() && NetServer->busy()) {
         NetServer->dropConnections();
-      continue;
+        ++Acted;
+      }
+      // Nothing left to retire or kill: the rest of the window is
+      // settling (or, in a pool region, the other workers are outside
+      // it), so wait for events instead of spinning.
+      if (Acted)
+        continue;
     }
     if (NetServer && NetServer->regionOpen()) {
       // One poll covers agent frames, new connections, AND the local
@@ -2805,10 +2686,9 @@ void Runtime::aggregate(const std::string &Var,
   discardSpares();
 
   std::vector<AggregationView::SampleRecord> Records;
-  if (RegionIsPool) {
-    // Pool mode reports per-sample records from the lease table; the
-    // worker slots are an execution detail. A batch delivery reads its
-    // region's window of the shared table.
+  if (Pool) {
+    // Pool mode reports per-sample records from this region's window of
+    // the lease table; the worker slots are an execution detail.
     Records.resize(WindowN);
     LeaseCell *Leases = leasesOf(Table) + W0;
     for (size_t I = 0, E = Records.size(); I != E; ++I) {
@@ -2830,7 +2710,7 @@ void Runtime::aggregate(const std::string &Var,
   foldSlabCommits();
   std::shared_ptr<const RegionReader> Reader = makeRegionReader();
   foldRemaining(*Reader, Records);
-  if (Batched) {
+  if (!LastDelivery) {
     // Slide the fold sweep's low-water mark past everything this
     // delivery (and earlier ones) fully consumed, so the next delivery
     // rescans only the pipeline's in-flight window instead of the whole
@@ -2847,18 +2727,16 @@ void Runtime::aggregate(const std::string &Var,
         break;
     }
   }
-  if (!Batched) {
-    // A batch keeps its table, worker set, and lease/barrier slots alive
-    // across deliveries; regionBatch() tears them down after the last.
-    netCloseRegion();
+  if (!Pool) {
+    // A pool region's table, workers and slots belong to regionBatch(),
+    // which tears them down after its last delivery.
     destroyRegionTable();
-    RegionIsZygote = false;
     Ctl->releaseBarrierSlot(BarrierSlot);
-    if (RegionIsPool) {
-      Ctl->releaseLeaseSlot(LeaseSlot);
-      LeaseSlot = -1;
-      RegionIsPool = false;
-    }
+  } else if (LastDelivery) {
+    // The agents' lease window closes here rather than at teardown: the
+    // close harvests every live agent's trace records, which must land
+    // inside this region's span.
+    netCloseRegion();
   }
   AggregationView::StoreCounters SC;
   SC.ShmCommits = Ctl->slabPublishedTotal() - RegionShmStart;
@@ -2942,6 +2820,7 @@ bool Runtime::split() {
   }
   Reaped.clear();
   NumSpares = 0;
+  BarrierSlot = -1;
   RegionDirPath.clear();
   RegionSlabStart = 0;
   RegionShmStart = 0;
@@ -2954,18 +2833,12 @@ bool Runtime::split() {
   FoldVotes.clear();
   FoldMeanVecs.clear();
   FoldedPairs.clear();
-  RegionIsPool = false;
-  RegionWorkers = 0;
   LeaseSlot = -1;
   LeaseIndex = -1;
   RespawnsUsed = 0;
   RegionBody = nullptr;
   PoolWorker = false;
   WorkerIndex = -1;
-  BatchActive = false;
-  BatchRegions = 0;
-  BatchN = 0;
-  BatchBase = 0;
   // The nursery belongs to the root; a split tp forks plain workers.
   ZygotesSpawned = false;
   NumZygotes = 0;
@@ -3020,10 +2893,6 @@ obs::RuntimeMetrics Runtime::metrics() const {
   M.SlabBytesHighWater = Ctl->slabBytesHighWater();
   M.SlabRecycles = Ctl->slabRecyclesTotal();
   M.SlabEpochHighWater = Ctl->slabEpochRecordsHighWater();
-  M.ThpGranted = Ctl->thpGranted();
-  M.ThpDeclined = Ctl->thpDeclined();
-  M.HugetlbGranted = Ctl->hugetlbGranted();
-  M.HugetlbDeclined = Ctl->hugetlbDeclined();
   M.ZygoteRespawns = Ctl->zygoteRespawnsTotal();
   M.ZygoteRestores = Ctl->zygoteRestoresTotal();
   M.RemoveFailures = removeTreeFailures();
@@ -3176,23 +3045,3 @@ void Runtime::exportTrace() {
                  TracePathEff.c_str());
   TraceBuf.clear();
 }
-
-void Runtime::sharedScalarAdd(int Cell, double X) { Ctl->scalarAdd(Cell, X); }
-void Runtime::sharedScalarReset(int Cell) { Ctl->scalarReset(Cell); }
-double Runtime::sharedScalarMin(int Cell) const { return Ctl->scalarMin(Cell); }
-double Runtime::sharedScalarMax(int Cell) const { return Ctl->scalarMax(Cell); }
-double Runtime::sharedScalarMean(int Cell) const {
-  return Ctl->scalarMean(Cell);
-}
-size_t Runtime::sharedScalarCount(int Cell) const {
-  return Ctl->scalarCount(Cell);
-}
-
-void Runtime::sharedVoteAdd(const std::vector<uint8_t> &Mask) {
-  Ctl->voteAdd(Mask.data(), Mask.size());
-}
-size_t Runtime::sharedVoteRuns() const { return Ctl->voteRuns(); }
-std::vector<uint8_t> Runtime::sharedVoteResult(double Threshold) const {
-  return Ctl->voteResult(Threshold);
-}
-void Runtime::sharedVoteReset() { Ctl->voteReset(); }

@@ -42,11 +42,12 @@
 /// sample can therefore never wedge a run — see DESIGN.md, "Failure
 /// semantics".
 ///
-/// Runtime::samplingRegion() is the worker-pool variant of a sampling
-/// region: min(N, pool) long-lived workers claim sample indices from a
-/// shared lease counter instead of paying one fork(2) per sample, with
-/// per-index RNG reseeding keeping every draw bitwise-identical to the
-/// fork-per-sample mode — see DESIGN.md, "Worker-pool sampling".
+/// Runtime::regionBatch() is the worker-pool variant of sampling regions
+/// (Runtime::samplingRegion() is its one-region case): min(N, pool)
+/// long-lived workers claim sample indices from a shared lease counter
+/// instead of paying one fork(2) per sample, with per-index RNG
+/// reseeding keeping every draw bitwise-identical to the fork-per-sample
+/// mode — see DESIGN.md, "Worker-pool sampling".
 ///
 /// The aggregation store has two backends (RuntimeOptions::Backend).
 /// StoreBackend::Files is the paper's Sec. III-B1 design: each sampling
@@ -150,8 +151,6 @@ struct RuntimeOptions {
   /// Apply the Alg. 1 pool rules; false = unbounded spawning (Fig. 10).
   bool UseScheduler = true;
   uint64_t Seed = 1;
-  /// Elements in the shared majority-vote buffer.
-  size_t VoteSlots = 1u << 20;
   /// Keep the run directory on finish() (debugging).
   bool KeepFiles = false;
   /// Per-region wall-clock budget in seconds; stragglers are SIGKILLed
@@ -163,9 +162,6 @@ struct RuntimeOptions {
   /// they run out. 0 disables retries. Regions that use sync() never
   /// activate spares (a replacement cannot replay missed barriers).
   int MaxRetries = 0;
-  /// Testing hook: make the fork of main-sample \p DebugFailForkAt fail
-  /// as if fork(2) returned -1. Negative = disabled.
-  int DebugFailForkAt = -1;
   /// Where commits land; see StoreBackend.
   StoreBackend Backend = StoreBackend::Shm;
   /// Commit-slab directory entries (Shm backend). Every commit consumes
@@ -176,12 +172,9 @@ struct RuntimeOptions {
   /// Payloads larger than this bypass the slab and go to a file even
   /// under the Shm backend (keeps the arena for small hot commits).
   size_t ShmRecordThreshold = 16u << 10;
-  /// Testing hook: child \p DebugKillMidCommitAt SIGKILLs itself after
-  /// writing its slab payload but before publishing it (torn-commit
-  /// test). Negative = disabled.
-  int DebugKillMidCommitAt = -1;
-  /// Workers forked per samplingRegion() (worker-pool mode); the actual
-  /// count is min(N, WorkerPool, MaxPool - 1). 0 = MaxPool - 1.
+  /// Workers forked per regionBatch() / samplingRegion() (worker-pool
+  /// mode); the actual count is min(Regions * N, WorkerPool,
+  /// MaxPool - 1). 0 = MaxPool - 1.
   /// Overridable per region via RegionOptions::Workers.
   unsigned WorkerPool = 0;
   /// Chrome trace-event JSON output path. Non-empty enables event
@@ -202,15 +195,15 @@ struct RuntimeOptions {
   /// injection stays disarmed (every hook one predicted branch) when
   /// both are unset. A malformed plan aborts init loudly.
   std::string InjectPlan;
-  /// Pre-forked parked sampling processes ("zygotes") for
-  /// samplingRegion(): forked once, at the first eligible region, then
+  /// Pre-forked parked sampling processes ("zygotes") for worker-pool
+  /// regions: forked once, at the first eligible region, then
   /// woken per region through a shared board — restoring the region's
   /// tuned-parameter identity (ordinal, sample count, kind, RNG
   /// streams) from shared memory instead of being re-forked. Draws stay
   /// bitwise-identical to fork-mode sampling because the per-lease RNG
   /// reseed depends only on (seed, tp, region, index). Root tuning
-  /// process only; regions with more samples than the board's lease
-  /// capacity fall back to forked workers. Constraint: the nursery
+  /// process only; batches with more leases than the board's capacity
+  /// fall back to forked workers. Constraint: the nursery
   /// snapshots the process image — including the first region's body
   /// closure — at spawn, so every zygote-eligible region of a run must
   /// use one body whose behavior derives from runtime queries
@@ -222,14 +215,6 @@ struct RuntimeOptions {
   /// Dead slots past the budget shrink the nursery; a fully dead
   /// nursery degrades to plain forked respawn workers.
   unsigned ZygoteRespawnBudget = 8;
-  /// Ask the kernel to back the shared control block (commit slab +
-  /// trace ring) with huge pages. init() first tries an explicit
-  /// hugetlbfs reservation (mmap(MAP_HUGETLB)); when no huge-page pool
-  /// is configured it falls back to transparent huge pages
-  /// (madvise(MADV_HUGEPAGE)). Both outcomes are advisory and surfaced
-  /// as RuntimeMetrics::HugetlbGranted/Declined and ThpGranted/Declined
-  /// — the run proceeds on regular pages either way.
-  bool HugePages = false;
   /// Remote sampling agents (distributed lease protocol, src/net): the
   /// root tuning process opens a TCP lease server and forks this many
   /// agent processes — stand-ins for agents on other hosts — at the
@@ -261,13 +246,14 @@ struct RegionOptions {
   double TimeoutSec = -1.0;
   /// Retry spares for this region; < 0 inherits RuntimeOptions::MaxRetries.
   int MaxRetries = -1;
-  /// Workers for this region under samplingRegion(); <= 0 inherits
+  /// Workers for a regionBatch() / samplingRegion(); <= 0 inherits
   /// RuntimeOptions::WorkerPool. Ignored by fork-per-sample sampling().
   int Workers = 0;
-  /// Sampling regions kept in flight by regionBatch(): while the tuning
-  /// process folds and delivers region R, workers may sample regions
-  /// R+1 .. R+Pipeline. <= 1 degenerates to sequential samplingRegion()
-  /// calls. Ignored outside regionBatch().
+  /// Sampling regions kept in flight by regionBatch(): workers may claim
+  /// leases of regions R .. R+Pipeline-1 while the tuning process folds
+  /// and delivers region R. <= 1 claims one region at a time (the same
+  /// workers still serve every region of the batch). Ignored outside
+  /// regionBatch().
   int Pipeline = 1;
 };
 
@@ -397,7 +383,8 @@ public:
   /// sampling() with per-region timeout/retry overrides.
   void sampling(int N, const RegionOptions &Ro);
 
-  /// Worker-pool variant of a sampling region: forks only
+  /// Worker-pool variant of a sampling region, exactly regionBatch(1, N,
+  /// Ro, Body): forks only
   /// min(N, RegionOptions::Workers, MaxPool - 1) long-lived sampling
   /// workers instead of one process per sample. Each worker claims sample
   /// indices from a lock-free lease counter and runs \p Body once per
@@ -422,7 +409,9 @@ public:
   /// where the supervision happens; samplingRegion() returns after the
   /// aggregation callback.
   void samplingRegion(int N, const RegionOptions &Ro,
-                      const std::function<void()> &Body);
+                      const std::function<void()> &Body) {
+    regionBatch(1, N, Ro, Body);
+  }
 
   void samplingRegion(int N, const std::function<void()> &Body) {
     samplingRegion(N, RegionOptions(), Body);
@@ -441,8 +430,9 @@ public:
   /// bitwise-identical draws via the per-lease RNG reseed. \p Body must
   /// satisfy the zygote-body constraint (derive behavior from runtime
   /// queries, not captured per-region state) whenever it branches per
-  /// region. Pipeline <= 1 or Regions == 1 literally runs the
-  /// sequential loop. See DESIGN.md, "Pipelined region batches".
+  /// region. Every worker-pool region runs here: samplingRegion() is the
+  /// one-region case, and Pipeline <= 1 lets workers claim one region's
+  /// leases at a time. See DESIGN.md, "Pipelined region batches".
   void regionBatch(int Regions, int N, const RegionOptions &Ro,
                    const std::function<void()> &Body);
 
@@ -509,7 +499,7 @@ public:
   /// In a worker-pool region this is the currently claimed sample index,
   /// not the worker's slot (see poolWorkerIndex()).
   int sampleIndex() const { return isSampling() ? ChildIndex : -1; }
-  /// Worker slot within a samplingRegion() pool, or -1 outside one.
+  /// Worker slot within a worker-pool region, or -1 outside one.
   /// Unlike sampleIndex(), this identifies the long-lived process.
   int poolWorkerIndex() const { return PoolWorker ? WorkerIndex : -1; }
   /// Attempt number (1-based) of the current sample. A pool lease being
@@ -540,22 +530,6 @@ public:
   uint64_t forkFailures() const;
   /// Leases of dead workers returned for re-claiming (worker-pool mode).
   uint64_t leaseReclaims() const;
-
-  //===--------------------------------------------------------------------===
-  // Shared incremental aggregation (paper Sec. IV-B across processes)
-  //===--------------------------------------------------------------------===
-
-  void sharedScalarAdd(int Cell, double X);
-  void sharedScalarReset(int Cell);
-  double sharedScalarMin(int Cell) const;
-  double sharedScalarMax(int Cell) const;
-  double sharedScalarMean(int Cell) const;
-  size_t sharedScalarCount(int Cell) const;
-
-  void sharedVoteAdd(const std::vector<uint8_t> &Mask);
-  size_t sharedVoteRuns() const;
-  std::vector<uint8_t> sharedVoteResult(double Threshold = 0.5) const;
-  void sharedVoteReset();
 
   //===--------------------------------------------------------------------===
   // Tuning-side incremental folding (paper Sec. IV-B over the store)
@@ -657,44 +631,66 @@ private:
   /// Spare child: blocks until activated (returns, to run the region body)
   /// or discarded (_exits, never returns).
   void parkAsSpare(int Idx);
+  /// Takes a sampling slot in a process the supervisor may SIGKILL at the
+  /// region deadline while it waits (an activated spare or zygote).
+  void acquireSlotKillable();
 
   // Supervisor internals (tuning side of a live region).
   bool reapOne(int Idx, bool Block);
   int sweepChildren();
-  void killStragglers();
+  /// Region deadline: SIGKILLs the children still running the region
+  /// body (in a pool region, the workers holding a lease of the
+  /// delivering window). Returns how many it killed.
+  int killStragglers();
   bool regionDeadlinePassed() const;
   bool activateSpare();
   void discardSpares();
   void destroyRegionTable();
+  /// Opens region \p Ordinal on the tuning side: store path, fresh fold
+  /// state, store-counter watermarks, latency clock, deadline, and the
+  /// RegionBegin trace point. Shared by sampling() and every delivery of
+  /// regionBatch().
+  void beginRegion(uint64_t Ordinal, int N, const RegionOptions &Ro);
 
-  // Worker-pool internals (samplingRegion / regionBatch).
+  // Worker-pool internals (regionBatch).
   [[noreturn]] void workerLoop();
   void runLeases();
   void runOneLease(int Idx);
-  int claimLease();
+  /// \p Worker: the claimant is this pool worker, which publishes the
+  /// claim in its CurrentLease; false for the lease server's remote
+  /// claims.
+  int tryClaimLease(bool Worker);
   int claimLeaseGated();
-  int claimReturnedLease();
+  /// Worker side: gives up the CurrentLease mark of lease \p Idx.
+  void dropLeaseMark(int Idx);
+  /// First lease of the delivering region's window in a pool table.
+  int64_t windowBegin() const;
   void forkPoolWorker(int SlotIdx);
-  void reclaimWorkerLease(int SlotIdx);
+  bool returnOrRetireLease(int Idx, int32_t From, bool Timed,
+                           int32_t Signal);
   bool settlePoolLeases();
-  void markLeasesTimedOut();
-  /// Maps the per-region child table and forks \p W pool workers with
-  /// \p TotalLeases lease cells (a batch spans several regions' worth).
-  void openPoolTable(int W, int TotalLeases, int64_t ClaimInit);
-  /// Raises the batch pipeline gate to \p NewLimit and wakes gate-blocked
-  /// workers. No-op on plain regions.
+  /// Retires the delivering window's unclaimed leases as TimedOut.
+  /// Returns how many it retired.
+  int markLeasesTimedOut();
+  /// Opens the flat lease table of \p Regions regions of \p N samples,
+  /// starting at ordinal \p Base, on the zygote board (waking the
+  /// nursery) or on a freshly mapped table (forking \p W workers).
+  void openLeaseTable(uint64_t Base, int Regions, int N, int W,
+                      int64_t ClaimInit);
+  /// Raises the pipeline gate to \p NewLimit and wakes gate-blocked
+  /// workers.
   void advanceClaimLimit(int64_t NewLimit);
   /// Recycles the commit slab between regions when it is safe (root
   /// tuning process, sole live tuning process, no open region) and the
-  /// current epoch has consumed at least half the slab.
-  void maybeRecycleSlab();
+  /// current epoch has consumed at least half the slab. Returns true if
+  /// it recycled.
+  bool maybeRecycleSlab();
 
   // Zygote nursery (pre-forked parked workers; root tuning side except
   // zygoteLoop, which is the zygote's whole life).
   [[noreturn]] void zygoteLoop(int Slot, uint64_t StartGen);
   void spawnZygotes();
   bool spawnZygoteInto(int Slot);
-  int openZygoteRegion(int N, int TotalLeases, int MaxW, int64_t ClaimInit);
   void shutdownZygotes();
 
   // Distributed sampling agents (src/net; root tuning side except
@@ -745,22 +741,14 @@ private:
   std::vector<char> Reaped;       // per-child, tuning side
   std::vector<pid_t> SplitChildren;
 
-  // Worker-pool region state (samplingRegion).
-  bool RegionIsPool = false;
-  int RegionWorkers = 0; // workers forked (tuning side)
+  // Worker-pool region state (regionBatch).
   int LeaseSlot = -1;    // SharedControl lease-counter slot
   int RespawnsUsed = 0;  // replacement workers forked after a wipe-out
   std::function<void()> RegionBody; // re-run by workers and respawns
   bool PoolWorker = false;          // this process is a pool worker
   int WorkerIndex = -1;             // its slot in the region table
-  int LeaseIndex = -1; // claimed lease cell; == sample index except in a
-                       // batch, where ChildIndex is the within-region one
-
-  // Pipelined batch state (regionBatch, tuning side).
-  bool BatchActive = false;
-  int BatchRegions = 0;    // regions in the open batch
-  int BatchN = 0;          // samples per region (uniform)
-  uint64_t BatchBase = 0;  // ordinal of the batch's first region
+  int LeaseIndex = -1; // claimed cell of the batch's flat lease table;
+                       // ChildIndex is the within-region sample index
 
   // Zygote nursery state (root tuning side).
   bool ZygotesSpawned = false;

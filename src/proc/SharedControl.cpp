@@ -6,9 +6,9 @@
 
 #include "proc/SharedControl.h"
 
+#include "inject/Inject.h"
 #include "inject/Sys.h"
 
-#include <signal.h>
 #include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <time.h>
@@ -61,14 +61,6 @@ struct Barrier {
   int Expected;
   int Arrived;
   uint64_t Generation;
-};
-
-struct ScalarCell {
-  SharedLock Lock;
-  double Min;
-  double Max;
-  double Sum;
-  uint64_t Count;
 };
 
 /// One directory entry of the commit slab. Fixed size, so readers can
@@ -139,16 +131,8 @@ struct SharedLayout {
   std::atomic<uint64_t> TimedOutTotal;
   std::atomic<uint64_t> ForkFailedTotal;
 
-  ScalarCell Scalars[NumScalarCells];
-
-  // Vote buffer.
-  SharedLock VoteLock;
-  uint64_t VoteRuns;
-  uint64_t VoteSize;     // elements used (fixed by first add)
-  uint64_t VoteCapacity; // elements available
-
   // Commit slab: bump allocators + capacities. The directory and arena
-  // follow the vote counts in the mapping (offsets fixed at init).
+  // follow this struct in the mapping (offsets fixed at init).
   std::atomic<uint64_t> SlabNext;      // directory entries handed out
   std::atomic<uint64_t> SlabArenaNext; // arena bytes handed out
   std::atomic<uint64_t> SlabPublished;
@@ -190,27 +174,16 @@ struct SharedLayout {
   std::atomic<uint64_t> SlabRetiredBytes;
   std::atomic<uint64_t> SlabEpochRecHW; // largest single-epoch record count
 
-  // Huge-page backing outcome (SlabConfig::HugePages): the explicit
-  // hugetlbfs reservation attempt, then the THP advice fallback.
-  std::atomic<uint64_t> HugetlbGranted;
-  std::atomic<uint64_t> HugetlbDeclined;
-  std::atomic<uint64_t> ThpGranted;
-  std::atomic<uint64_t> ThpDeclined;
-
   uint64_t TraceByteOff;
   uint64_t AuxByteOff; // opaque init() tail (zygote board); 0 = none
 
-  // uint32_t VoteCounts[VoteCapacity], then SlabRecord[SlabRecCap], then
-  // uint8_t Arena[SlabArenaCap], then the optional TraceRingLayout, then
-  // the optional AuxBytes tail follow the struct in memory.
+  // SlabRecord[SlabRecCap], then uint8_t Arena[SlabArenaCap], then the
+  // optional TraceRingLayout, then the optional AuxBytes tail follow the
+  // struct in memory.
 };
 
 } // namespace proc
 } // namespace wbt
-
-static uint32_t *voteCounts(SharedLayout *L) {
-  return reinterpret_cast<uint32_t *>(L + 1);
-}
 
 static SlabRecord *slabRecords(SharedLayout *L) {
   return reinterpret_cast<SlabRecord *>(reinterpret_cast<uint8_t *>(L) +
@@ -235,72 +208,31 @@ SharedControl::~SharedControl() {
     close(EventFd);
 }
 
-void SharedControl::init(unsigned MaxPool, size_t VoteSlots,
-                         bool UseScheduler, const SlabConfig &Slab,
-                         const TraceConfig &Trace, size_t AuxBytes) {
+void SharedControl::init(unsigned MaxPool, bool UseScheduler,
+                         const SlabConfig &Slab, const TraceConfig &Trace,
+                         size_t AuxBytes) {
   assert(!Layout && "SharedControl initialized twice");
   if (MaxPool == 0)
     MaxPool = std::max(2u, std::thread::hardware_concurrency());
-  uint64_t RecByteOff =
-      alignUp8(sizeof(SharedLayout) + VoteSlots * sizeof(uint32_t));
+  uint64_t RecByteOff = alignUp8(sizeof(SharedLayout));
   uint64_t ArenaByteOff = RecByteOff + Slab.Records * sizeof(SlabRecord);
   uint64_t TraceByteOff = ArenaByteOff + alignUp8(Slab.ArenaBytes);
   uint64_t AuxByteOff =
       alignUp8(TraceByteOff + obs::traceRingBytes(Trace.Records));
   MappedBytes = AuxByteOff + AuxBytes;
-  // Huge-page backing, strongest first: an explicit hugetlbfs mapping
-  // reserves its 2 MiB pages up front, so a machine with no huge-page
-  // pool configured — the common case — fails right here and falls back
-  // cleanly. The attempt bypasses the inject mmap site on purpose: a
-  // declined reservation is normal operation, not a schedulable fault,
-  // and the fallback mmap below still goes through the wrapper.
-  bool HtlbAsked = false, HtlbOk = false;
-  void *Mem = MAP_FAILED;
-#ifdef MAP_HUGETLB
-  if (Slab.HugePages) {
-    constexpr uint64_t HugePageBytes = uint64_t(2) << 20;
-    uint64_t Rounded = (MappedBytes + HugePageBytes - 1) & ~(HugePageBytes - 1);
-    HtlbAsked = true;
-    Mem = ::mmap(nullptr, Rounded, PROT_READ | PROT_WRITE,
-                 MAP_SHARED | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (Mem != MAP_FAILED) {
-      HtlbOk = true;
-      MappedBytes = Rounded; // the destructor must munmap whole pages
-    }
-  }
-#endif
-  bool ThpAsked = false, ThpOk = false;
-  if (Mem == MAP_FAILED) {
-    // assert() compiles out under NDEBUG; a failed mapping here must be
-    // loud in every build type — nothing downstream can run without it.
-    Mem = sys::mmapShared(MappedBytes);
-    if (Mem == MAP_FAILED)
-      sys::fatal("mmap of shared control block (%zu bytes) failed: %s",
-                 MappedBytes, std::strerror(errno));
-    // Advise huge pages before first touch so the initial memset can fault
-    // the mapping in as huge pages. Advisory only: anonymous MAP_SHARED
-    // memory is shmem, whose THP policy is a kernel knob — madvise may
-    // succeed or fail (EINVAL on old kernels), and either way the run
-    // proceeds; the outcome is only counted.
-    if (Slab.HugePages) {
-      ThpAsked = true;
-#ifdef MADV_HUGEPAGE
-      ThpOk = madvise(Mem, MappedBytes, MADV_HUGEPAGE) == 0;
-#endif
-    }
-  }
-  std::memset(Mem, 0, MappedBytes);
+  // assert() compiles out under NDEBUG; a failed mapping here must be
+  // loud in every build type — nothing downstream can run without it.
+  // The anonymous mapping arrives zero-filled, which every field below
+  // relies on; its pages fault in as the run touches them.
+  void *Mem = sys::mmapShared(MappedBytes);
+  if (Mem == MAP_FAILED)
+    sys::fatal("mmap of shared control block (%zu bytes) failed: %s",
+               MappedBytes, std::strerror(errno));
   Layout = static_cast<SharedLayout *>(Mem);
   Layout->SlabRecCap = Slab.Records;
   Layout->SlabArenaCap = Slab.ArenaBytes;
   Layout->SlabRecByteOff = RecByteOff;
   Layout->SlabArenaByteOff = ArenaByteOff;
-  if (HtlbAsked)
-    (HtlbOk ? Layout->HugetlbGranted : Layout->HugetlbDeclined)
-        .fetch_add(1, std::memory_order_relaxed);
-  if (ThpAsked)
-    (ThpOk ? Layout->ThpGranted : Layout->ThpDeclined)
-        .fetch_add(1, std::memory_order_relaxed);
   if (Trace.Records) {
     Layout->TraceByteOff = TraceByteOff;
     obs::traceRingInit(traceRing(Layout), Trace.Records);
@@ -335,23 +267,14 @@ void SharedControl::init(unsigned MaxPool, size_t VoteSlots,
   // to its bounded poll timeout, exactly like the condvar's timed wait.
   EventFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
 
-  for (ScalarCell &C : Layout->Scalars) {
-    C.Lock.init();
-    C.Min = std::numeric_limits<double>::infinity();
-    C.Max = -std::numeric_limits<double>::infinity();
-  }
-
-  // The memset above zeroed the score cells; min/max start at their
-  // identities so the first noteScore() wins both CAS races.
+  // The mapping starts zeroed; score min/max start at their identities
+  // so the first noteScore() wins both CAS races.
   Layout->ScoreMinBits.store(
       doubleBits(std::numeric_limits<double>::infinity()),
       std::memory_order_relaxed);
   Layout->ScoreMaxBits.store(
       doubleBits(-std::numeric_limits<double>::infinity()),
       std::memory_order_relaxed);
-
-  Layout->VoteLock.init();
-  Layout->VoteCapacity = VoteSlots;
 }
 
 //===----------------------------------------------------------------------===//
@@ -401,9 +324,10 @@ bool SharedControl::acquireSlotTimed(bool IsTuning, int TimeoutMs) {
       Taken = true;
       break;
     }
-    if (pthread_cond_timedwait(&Layout->PoolLock.Cond,
+    if (TimeoutMs <= 0 ||
+        pthread_cond_timedwait(&Layout->PoolLock.Cond,
                                &Layout->PoolLock.Mutex, &Deadline) ==
-        ETIMEDOUT)
+            ETIMEDOUT)
       break;
   }
   pthread_mutex_unlock(&Layout->PoolLock.Mutex);
@@ -494,13 +418,26 @@ int SharedControl::acquireBarrierSlot() {
   return Slot;
 }
 
+/// Pushes \p Slot onto a free-list of \p Cap slots unless it is out of
+/// range or already free; returns false then. Either mistake would later
+/// hand one slot to two owners (or index the slot arrays at -1), so the
+/// callers treat it as fatal in every build, not just under assert().
+static bool pushFreeSlot(int *Free, int &Count, int Cap, int Slot) {
+  if (Slot < 0 || Slot >= Cap || Count >= Cap ||
+      std::find(Free, Free + Count, Slot) != Free + Count)
+    return false;
+  Free[Count++] = Slot;
+  return true;
+}
+
 void SharedControl::releaseBarrierSlot(int Slot) {
   pthread_mutex_lock(&Layout->BarrierAllocLock.Mutex);
-  assert(Layout->BarrierFreeCount < NumBarrierSlots &&
-         "barrier slot freed twice");
-  Layout->BarrierFree[Layout->BarrierFreeCount++] = Slot;
+  bool Ok = pushFreeSlot(Layout->BarrierFree, Layout->BarrierFreeCount,
+                         NumBarrierSlots, Slot);
   pthread_cond_broadcast(&Layout->BarrierAllocLock.Cond);
   pthread_mutex_unlock(&Layout->BarrierAllocLock.Mutex);
+  if (!Ok)
+    sys::fatal("barrier slot %d freed twice or out of range", Slot);
 }
 
 void SharedControl::barrierReset(int Slot, int Expected) {
@@ -605,18 +542,16 @@ int SharedControl::acquireLeaseSlot() {
 
 void SharedControl::releaseLeaseSlot(int Slot) {
   pthread_mutex_lock(&Layout->LeaseAllocLock.Mutex);
-  assert(Layout->LeaseFreeCount < NumLeaseSlots && "lease slot freed twice");
-  Layout->LeaseFree[Layout->LeaseFreeCount++] = Slot;
+  bool Ok = pushFreeSlot(Layout->LeaseFree, Layout->LeaseFreeCount,
+                         NumLeaseSlots, Slot);
   pthread_cond_broadcast(&Layout->LeaseAllocLock.Cond);
   pthread_mutex_unlock(&Layout->LeaseAllocLock.Mutex);
+  if (!Ok)
+    sys::fatal("lease slot %d freed twice or out of range", Slot);
 }
 
 void SharedControl::leaseReset(int Slot) {
   Layout->LeaseNext[Slot].store(0, std::memory_order_release);
-}
-
-int64_t SharedControl::leaseClaim(int Slot) {
-  return Layout->LeaseNext[Slot].fetch_add(1, std::memory_order_relaxed);
 }
 
 int64_t SharedControl::leaseClaimBounded(int Slot, int64_t Bound) {
@@ -714,8 +649,7 @@ uint64_t SharedControl::forkFailedTotal() const {
 
 bool SharedControl::slabCommit(uint64_t Tp, uint64_t Region,
                                const std::string &Var, int Child,
-                               const uint8_t *Data, size_t Size,
-                               bool DebugDieBeforePublish) {
+                               const uint8_t *Data, size_t Size) {
   SharedLayout *L = Layout;
   if (Var.size() > SlabVarNameMax) {
     noteSlabFallback(obs::FallbackReason::LongName);
@@ -754,8 +688,9 @@ bool SharedControl::slabCommit(uint64_t Tp, uint64_t Region,
   std::memcpy(R.Name, Var.data(), Var.size());
   if (Size)
     std::memcpy(slabArena(L) + Off, Data, Size);
-  if (DebugDieBeforePublish)
-    raise(SIGKILL); // torn-commit test: die with the record unpublished
+  // Torn-commit kill point: a writer that dies here leaves the record
+  // allocated but unpublished.
+  inject::onTracePoint("slab.publish");
   L->SlabPublished.fetch_add(1, std::memory_order_relaxed);
   // Publication point: everything above must be visible before Ready.
   R.Ready.store(1, std::memory_order_release);
@@ -866,22 +801,6 @@ uint64_t SharedControl::slabEpochRecordsHighWater() const {
   return std::max(Layout->SlabEpochRecHW.load(std::memory_order_relaxed), Cur);
 }
 
-uint64_t SharedControl::thpGranted() const {
-  return Layout->ThpGranted.load(std::memory_order_relaxed);
-}
-
-uint64_t SharedControl::thpDeclined() const {
-  return Layout->ThpDeclined.load(std::memory_order_relaxed);
-}
-
-uint64_t SharedControl::hugetlbGranted() const {
-  return Layout->HugetlbGranted.load(std::memory_order_relaxed);
-}
-
-uint64_t SharedControl::hugetlbDeclined() const {
-  return Layout->HugetlbDeclined.load(std::memory_order_relaxed);
-}
-
 //===----------------------------------------------------------------------===//
 // Observability: trace ring + metric cells
 //===----------------------------------------------------------------------===//
@@ -890,12 +809,11 @@ bool SharedControl::traceEnabled() const {
   return Layout && Layout->TraceByteOff != 0;
 }
 
-bool SharedControl::traceEmit(const obs::TraceEvent &Ev,
-                              bool DebugDieBeforePublish) {
+bool SharedControl::traceEmit(const obs::TraceEvent &Ev) {
   obs::TraceRingLayout *Ring = traceRing(Layout);
   if (!Ring)
     return false;
-  return obs::traceRingEmit(Ring, Ev, DebugDieBeforePublish);
+  return obs::traceRingEmit(Ring, Ev);
 }
 
 size_t SharedControl::traceDrain(std::vector<obs::TraceEvent> &Out,
@@ -1039,99 +957,4 @@ bool SharedControl::readMetricsSnapshot(obs::RuntimeMetrics &Out) const {
 
 uint64_t SharedControl::metricsSnapshotCount() const {
   return Layout->MetricsPg.published();
-}
-
-//===----------------------------------------------------------------------===//
-// Shared accumulators
-//===----------------------------------------------------------------------===//
-
-void SharedControl::scalarAdd(int Cell, double X) {
-  ScalarCell &C = Layout->Scalars[Cell];
-  pthread_mutex_lock(&C.Lock.Mutex);
-  C.Min = std::min(C.Min, X);
-  C.Max = std::max(C.Max, X);
-  C.Sum += X;
-  ++C.Count;
-  pthread_mutex_unlock(&C.Lock.Mutex);
-}
-
-void SharedControl::scalarReset(int Cell) {
-  ScalarCell &C = Layout->Scalars[Cell];
-  pthread_mutex_lock(&C.Lock.Mutex);
-  C.Min = std::numeric_limits<double>::infinity();
-  C.Max = -std::numeric_limits<double>::infinity();
-  C.Sum = 0;
-  C.Count = 0;
-  pthread_mutex_unlock(&C.Lock.Mutex);
-}
-
-double SharedControl::scalarMin(int Cell) const {
-  ScalarCell &C = Layout->Scalars[Cell];
-  pthread_mutex_lock(&C.Lock.Mutex);
-  double V = C.Min;
-  pthread_mutex_unlock(&C.Lock.Mutex);
-  return V;
-}
-
-double SharedControl::scalarMax(int Cell) const {
-  ScalarCell &C = Layout->Scalars[Cell];
-  pthread_mutex_lock(&C.Lock.Mutex);
-  double V = C.Max;
-  pthread_mutex_unlock(&C.Lock.Mutex);
-  return V;
-}
-
-double SharedControl::scalarMean(int Cell) const {
-  ScalarCell &C = Layout->Scalars[Cell];
-  pthread_mutex_lock(&C.Lock.Mutex);
-  double V = C.Count ? C.Sum / static_cast<double>(C.Count) : 0.0;
-  pthread_mutex_unlock(&C.Lock.Mutex);
-  return V;
-}
-
-size_t SharedControl::scalarCount(int Cell) const {
-  ScalarCell &C = Layout->Scalars[Cell];
-  pthread_mutex_lock(&C.Lock.Mutex);
-  size_t V = C.Count;
-  pthread_mutex_unlock(&C.Lock.Mutex);
-  return V;
-}
-
-void SharedControl::voteAdd(const uint8_t *Mask, size_t Size) {
-  pthread_mutex_lock(&Layout->VoteLock.Mutex);
-  if (Layout->VoteSize == 0)
-    Layout->VoteSize = std::min<uint64_t>(Size, Layout->VoteCapacity);
-  assert(Size >= Layout->VoteSize && "vote masks must share a size");
-  uint32_t *Counts = voteCounts(Layout);
-  for (uint64_t I = 0, E = Layout->VoteSize; I != E; ++I)
-    if (Mask[I])
-      ++Counts[I];
-  ++Layout->VoteRuns;
-  pthread_mutex_unlock(&Layout->VoteLock.Mutex);
-}
-
-size_t SharedControl::voteRuns() const {
-  pthread_mutex_lock(&Layout->VoteLock.Mutex);
-  size_t N = Layout->VoteRuns;
-  pthread_mutex_unlock(&Layout->VoteLock.Mutex);
-  return N;
-}
-
-std::vector<uint8_t> SharedControl::voteResult(double Threshold) const {
-  pthread_mutex_lock(&Layout->VoteLock.Mutex);
-  std::vector<uint8_t> Out(Layout->VoteSize, 0);
-  double Cut = Threshold * static_cast<double>(Layout->VoteRuns);
-  const uint32_t *Counts = voteCounts(Layout);
-  for (uint64_t I = 0, E = Layout->VoteSize; I != E; ++I)
-    Out[I] = Counts[I] > Cut ? 1 : 0;
-  pthread_mutex_unlock(&Layout->VoteLock.Mutex);
-  return Out;
-}
-
-void SharedControl::voteReset() {
-  pthread_mutex_lock(&Layout->VoteLock.Mutex);
-  std::memset(voteCounts(Layout), 0, Layout->VoteSize * sizeof(uint32_t));
-  Layout->VoteRuns = 0;
-  Layout->VoteSize = 0;
-  pthread_mutex_unlock(&Layout->VoteLock.Mutex);
 }

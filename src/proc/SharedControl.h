@@ -20,9 +20,6 @@
 ///    blocking indefinitely in waitpid(2);
 ///  * crash/timeout/fork-failure counters (diagnostics for the child
 ///    supervisor);
-///  * shared accumulators for incremental aggregation across processes
-///    (paper Sec. IV-B: shared min/max/avg cells and a vote buffer that
-///    replaces one-shot file aggregation);
 ///  * the **commit slab**: a lock-free shared-memory aggregation store
 ///    that replaces the per-commit write(2)+rename(2) pair of the file
 ///    backend. A fixed directory of commit records plus a payload arena,
@@ -63,8 +60,6 @@ namespace proc {
 /// pointers, no non-trivial members).
 struct SharedLayout;
 
-/// Number of shared scalar-accumulator cells available via scalarCell().
-constexpr int NumScalarCells = 16;
 /// Number of barrier slots; allocated through a shared free-list.
 constexpr int NumBarrierSlots = 64;
 /// Number of lease-counter slots for worker-pool sampling regions;
@@ -81,14 +76,6 @@ struct SlabConfig {
   size_t Records = 4096;
   /// Payload arena bytes shared by all records.
   size_t ArenaBytes = 1u << 20;
-  /// Back the control mapping with huge pages. init() first tries an
-  /// explicit hugetlbfs reservation (mmap(MAP_HUGETLB), counted in
-  /// hugetlbGranted()/hugetlbDeclined()); when no huge-page pool is
-  /// configured — the common case — it falls back to transparent huge
-  /// pages (madvise(MADV_HUGEPAGE), counted in thpGranted()/
-  /// thpDeclined()). Both are best-effort: the run proceeds on regular
-  /// pages either way.
-  bool HugePages = false;
 };
 
 /// Sizing of the shared trace-event ring (0 records = tracing disabled;
@@ -127,14 +114,13 @@ public:
   SharedControl &operator=(const SharedControl &) = delete;
 
   /// Maps and initializes the region. \p MaxPool is MAX_POOL_SIZE;
-  /// \p VoteSlots sizes the shared majority-vote buffer;
   /// \p UseScheduler false disables pool gating (Fig. 10 ablation);
   /// \p Slab sizes the shared commit slab; \p Trace sizes the shared
   /// trace-event ring (disabled by default); \p AuxBytes reserves an
   /// opaque zero-initialized tail region (the zygote board — its layout
   /// belongs to the Runtime, which only needs it inside the one mapping
   /// every pre-forked process inherits).
-  void init(unsigned MaxPool, size_t VoteSlots, bool UseScheduler,
+  void init(unsigned MaxPool, bool UseScheduler,
             const SlabConfig &Slab = SlabConfig(),
             const TraceConfig &Trace = TraceConfig(), size_t AuxBytes = 0);
   bool initialized() const { return Layout != nullptr; }
@@ -151,6 +137,8 @@ public:
   /// Bounded acquireSlot(): waits at most \p TimeoutMs and returns whether
   /// a slot was taken. Lets the supervised spawn loop in sampling() reap
   /// dead children (reclaiming their leaked slots) between attempts.
+  /// \p TimeoutMs == 0 makes one attempt that never waits on the pool's
+  /// condvar.
   bool acquireSlotTimed(bool IsTuning, int TimeoutMs);
   /// Returns a slot to the pool.
   void releaseSlot();
@@ -217,9 +205,9 @@ public:
   // Sample-lease counters (worker-pool sampling regions).
   //===--------------------------------------------------------------------===
   //
-  // A worker-pool region (Runtime::samplingRegion) forks min(N, pool)
+  // A worker-pool batch (Runtime::regionBatch) forks min(N, pool)
   // long-lived workers instead of N one-shot children; each worker claims
-  // sample indices from a lock-free monotone counter until the region is
+  // lease indices from a lock-free monotone counter until the batch is
   // drained. Only the counter lives here — the per-lease state table is
   // part of the region's own shared child table, next to the slots it
   // already supervises.
@@ -232,15 +220,12 @@ public:
   /// Tuning side: rewind the claim counter of \p Slot to zero before the
   /// workers fork.
   void leaseReset(int Slot);
-  /// Worker side: claims the next sample index (lock-free fetch_add). The
-  /// caller bounds the result against the region's N; over-claims past N
-  /// are harmless and simply tell the worker the region is drained.
-  int64_t leaseClaim(int Slot);
-  /// Worker side, pipelined batches: claims the next sample index only
-  /// if it lies below \p Bound, else returns -1 without claiming. The
-  /// claim-limit gate must reject BEFORE the claim — an index claimed
-  /// and then parked on belongs to a region whose delivery would stall
-  /// until its sleeping holder is rescheduled.
+  /// Worker side: claims the next sample index only if it lies below
+  /// \p Bound (the claim limit of a pipelined batch, or the lease count),
+  /// else returns -1 without claiming. The claim-limit gate must reject
+  /// BEFORE the claim — an index claimed and then parked on belongs to a
+  /// region whose delivery would stall until its sleeping holder is
+  /// rescheduled.
   int64_t leaseClaimBounded(int Slot, int64_t Bound);
   /// Next unclaimed index (acquire load; supervisor orphan scans).
   int64_t leaseNext(int Slot) const;
@@ -292,14 +277,14 @@ public:
 
   /// Publishes one commit record for (\p Tp, \p Region, \p Var, \p Child).
   /// Payload first, then a release-store of the Ready word — a writer
-  /// killed at any point leaves the record unpublished. \returns false
-  /// (bumping the fallback counter) when the directory or arena is full
-  /// or \p Var exceeds SlabVarNameMax; the caller then uses the file
-  /// path. \p DebugDieBeforePublish is a testing hook: the caller
-  /// SIGKILLs itself after the payload write but before publication.
+  /// killed at any point leaves the record unpublished. The `slab.publish`
+  /// kill point sits between the two (inject plan
+  /// `tp.slab.publish@n1:kill`), so torn-commit drills die exactly
+  /// there. \returns false (bumping the fallback counter) when the
+  /// directory or arena is full or \p Var exceeds SlabVarNameMax; the
+  /// caller then uses the file path.
   bool slabCommit(uint64_t Tp, uint64_t Region, const std::string &Var,
-                  int Child, const uint8_t *Data, size_t Size,
-                  bool DebugDieBeforePublish = false);
+                  int Child, const uint8_t *Data, size_t Size);
   /// Directory entries handed out so far (clamped to capacity). Readers
   /// scan [0, slabAllocated()); unpublished entries read as absent.
   size_t slabAllocated() const;
@@ -347,21 +332,6 @@ public:
   /// from run length.
   uint64_t slabEpochRecordsHighWater() const;
 
-  /// Transparent-huge-page outcome counters for SlabConfig::HugePages:
-  /// one of the two is bumped per init() that asked (granted when
-  /// madvise(MADV_HUGEPAGE) accepted the mapping, declined when the
-  /// kernel refused or the platform lacks the advice flag).
-  uint64_t thpGranted() const;
-  uint64_t thpDeclined() const;
-
-  /// Explicit hugetlbfs outcome counters: granted when init()'s
-  /// mmap(MAP_HUGETLB) reservation succeeded (the mapping *is* huge
-  /// pages, not merely advised), declined when the kernel refused —
-  /// typically an unconfigured huge-page pool — and init() fell back to
-  /// the madvise path above.
-  uint64_t hugetlbGranted() const;
-  uint64_t hugetlbDeclined() const;
-
   //===--------------------------------------------------------------------===
   // Observability: trace ring + metric cells (src/obs).
   //===--------------------------------------------------------------------===
@@ -370,7 +340,7 @@ public:
   bool traceEnabled() const;
   /// Emits one event into the shared ring; drops (and counts) when full.
   /// No-op returning false when tracing is disabled.
-  bool traceEmit(const obs::TraceEvent &Ev, bool DebugDieBeforePublish = false);
+  bool traceEmit(const obs::TraceEvent &Ev);
   /// Drains published events into \p Out (see obs::traceRingDrain for the
   /// SkipUnpublished contract). Returns events appended.
   size_t traceDrain(std::vector<obs::TraceEvent> &Out, bool SkipUnpublished);
@@ -417,32 +387,11 @@ public:
 
   /// Writer side — root supervisor only (single writer by construction).
   void publishMetricsSnapshot(const obs::RuntimeMetrics &M);
-  /// Reader side. False when nothing has been published yet or a stable
-  /// snapshot could not be obtained in a bounded number of retries.
+  /// Reader side. False when nothing has been published yet or no stable
+  /// snapshot could be had (see obs::MetricsSnapshotPage::read).
   bool readMetricsSnapshot(obs::RuntimeMetrics &Out) const;
   /// Publication count (even sequence / 2); 0 before the first publish.
   uint64_t metricsSnapshotCount() const;
-
-  //===--------------------------------------------------------------------===
-  // Shared accumulators (incremental aggregation, paper Sec. IV-B).
-  //===--------------------------------------------------------------------===
-
-  /// Adds \p X to shared scalar cell \p Cell (min/max/sum/count).
-  void scalarAdd(int Cell, double X);
-  void scalarReset(int Cell);
-  double scalarMin(int Cell) const;
-  double scalarMax(int Cell) const;
-  double scalarMean(int Cell) const;
-  size_t scalarCount(int Cell) const;
-
-  /// Adds a binary mask into the shared vote buffer. The first add fixes
-  /// the mask size; it must be <= the VoteSlots passed to init().
-  void voteAdd(const uint8_t *Mask, size_t Size);
-  /// Current number of voted runs.
-  size_t voteRuns() const;
-  /// Majority mask (> Threshold fraction of runs).
-  std::vector<uint8_t> voteResult(double Threshold) const;
-  void voteReset();
 
 private:
   SharedLayout *Layout = nullptr;

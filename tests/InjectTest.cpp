@@ -463,8 +463,9 @@ TEST(InjectRuntime, SupervisorSweepSurvivesEintrStorm) {
   EXPECT_EQ(runScenario(scenarioSupervisorSweepSurvivesEintrStorm), 0);
 }
 
-/// Injected fork failure takes the same path as DebugFailForkAt: the
-/// sample is reported ForkFailed, everything else commits.
+/// Injected fork failure skips the sample cleanly: it is reported
+/// ForkFailed, everything else commits, and no bogus pid enters the wait
+/// set — the barrier and slot accounting stay intact.
 int scenarioInjectedForkFailureIsAccounted() {
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
@@ -473,6 +474,7 @@ int scenarioInjectedForkFailureIsAccounted() {
   Opts.InjectPlan = "fork@n2:EAGAIN";
   Rt.init(Opts);
 
+  int FreeBefore = Rt.freeSlots();
   const int N = 4;
   Rt.sampling(N); // the 2nd fork of the region fails
   double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
@@ -487,6 +489,7 @@ int scenarioInjectedForkFailureIsAccounted() {
   CHECK_OR(Committed == N - 1, 2);
   CHECK_OR(ForkFailed == 1, 3);
   CHECK_OR(Rt.forkFailures() == 1, 4);
+  CHECK_OR(Rt.freeSlots() == FreeBefore, 5);
   Rt.finish();
   return 0;
 }

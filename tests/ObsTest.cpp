@@ -26,6 +26,7 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -324,9 +325,8 @@ RuntimeMetrics denseMetrics() {
         &M.Fallbacks[1], &M.Fallbacks[2], &M.CrashedSamples,
         &M.TimedOutSamples, &M.ForkFailures, &M.LeaseReclaims, &M.Retries,
         &M.SlabRecordsHighWater, &M.SlabBytesHighWater, &M.SlabRecycles,
-        &M.SlabEpochHighWater, &M.ThpGranted, &M.ThpDeclined,
-        &M.HugetlbGranted, &M.HugetlbDeclined, &M.ZygoteRespawns,
-        &M.ZygoteRestores, &M.RemoveFailures, &M.NetAgents, &M.NetReconnects,
+        &M.SlabEpochHighWater, &M.ZygoteRespawns, &M.ZygoteRestores,
+        &M.RemoveFailures, &M.NetAgents, &M.NetReconnects,
         &M.NetRemoteLeases, &M.NetLeasesReturned, &M.NetFrames, &M.NetBytesIn,
         &M.NetBytesOut, &M.NetRecvHello, &M.NetRecvClaimReq,
         &M.NetRecvCommitBatch, &M.NetRecvTrace, &M.TraceEvents, &M.TraceDrops,
@@ -354,7 +354,6 @@ const char *const MetricsJsonKeys[] = {
     "fallback_oversized", "fallback_long_name", "fallback_exhausted",
     "crashed", "timed_out", "fork_failures", "lease_reclaims", "retries",
     "slab_records_hw", "slab_bytes_hw", "slab_recycles", "slab_epoch_hw",
-    "thp_granted", "thp_declined", "hugetlb_granted", "hugetlb_declined",
     "zygote_respawns", "zygote_restores", "remove_failures", "net_agents",
     "net_reconnects", "net_remote_leases", "net_leases_returned",
     "net_frames", "net_bytes_in", "net_bytes_out", "net_recv_hello",
@@ -425,8 +424,7 @@ TEST(MetricsExposition, CoversEveryScalarAndHistogram) {
         "file_fallbacks", "fallback_oversized", "fallback_long_name",
         "fallback_exhausted", "crashed", "timed_out", "fork_failures",
         "lease_reclaims", "retries", "slab_records_hw", "slab_bytes_hw",
-        "slab_recycles", "slab_epoch_hw", "thp_granted", "thp_declined",
-        "hugetlb_granted", "hugetlb_declined", "zygote_respawns",
+        "slab_recycles", "slab_epoch_hw", "zygote_respawns",
         "zygote_restores", "remove_failures", "net_agents", "net_reconnects",
         "net_remote_leases", "net_leases_returned", "net_frames",
         "net_bytes_in", "net_bytes_out", "net_recv_hello",
@@ -505,17 +503,41 @@ TEST(MetricsSeqlock, WriterStormNeverTearsReads) {
   // internally consistent (all fields from one epoch), and the reader
   // must make progress under the storm (bounded retries, not livelock).
   proc::SharedControl Ctl;
-  Ctl.init(/*MaxPool=*/2, /*VoteSlots=*/0, /*UseScheduler=*/false);
+  Ctl.init(/*MaxPool=*/2, /*UseScheduler=*/false);
 
   RuntimeMetrics Unpublished;
   EXPECT_FALSE(Ctl.readMetricsSnapshot(Unpublished)); // nothing yet
   EXPECT_EQ(Ctl.metricsSnapshotCount(), 0u);
 
+  pid_t Parent = getpid();
   pid_t Pid = fork();
   ASSERT_GE(Pid, 0);
   if (Pid == 0) {
+    // Die with the test process, whatever ends it.
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != Parent)
+      _exit(0);
     for (uint64_t E = 1;; ++E)
       Ctl.publishMetricsSnapshot(epochPattern(E));
+  }
+  // Kill and reap the writer on every exit path: a failed ASSERT returns
+  // from the test body, and a writer left spinning would hold the test's
+  // output pipe open.
+  struct WriterReaper {
+    pid_t Pid;
+    ~WriterReaper() {
+      kill(Pid, SIGKILL);
+      int St = 0;
+      waitpid(Pid, &St, 0);
+    }
+  } Reaper{Pid};
+  // The storm starts with the writer's first publish. Until then every
+  // read returns false by design (nothing published yet), and a loaded
+  // machine can delay the child's first run for longer than it takes to
+  // count 100k of those, so they are not counted as collisions.
+  for (int Waited = 0; Ctl.metricsSnapshotCount() == 0; ++Waited) {
+    ASSERT_LT(Waited, 10000) << "writer never published";
+    usleep(1000);
   }
   uint64_t Reads = 0, Failures = 0, MaxEpoch = 0;
   while (Reads != 10000) {
@@ -533,9 +555,6 @@ TEST(MetricsSeqlock, WriterStormNeverTearsReads) {
     if (M.RegionsResolved > MaxEpoch)
       MaxEpoch = M.RegionsResolved;
   }
-  kill(Pid, SIGKILL);
-  int St = 0;
-  waitpid(Pid, &St, 0);
   EXPECT_GT(MaxEpoch, 0u);
   EXPECT_GT(Ctl.metricsSnapshotCount(), 0u);
 }

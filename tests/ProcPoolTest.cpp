@@ -469,6 +469,54 @@ int scenarioPoolTimeoutRetiresLeases() {
   return 0;
 }
 
+int scenarioBatchDeadlineStaysInItsRegion() {
+  // One lease of region 2 sleeps past the region budget inside a
+  // four-region batch, with one region in flight and with two, on forked
+  // workers and on the zygote nursery. Only that lease times out: a
+  // deadline retires its own region's window, not the batch, and it
+  // kills the worker holding the lease, not the ones waiting at the
+  // claim gate.
+  for (int K : {1, 2}) {
+    for (unsigned Zygotes : {0u, 2u}) {
+      Runtime &Rt = Runtime::get();
+      RuntimeOptions Opts;
+      Opts.MaxPool = 8;
+      Opts.Seed = 48;
+      Opts.Backend = StoreBackend::Shm;
+      Opts.Zygotes = Zygotes;
+      Rt.init(Opts);
+
+      const int Regions = 4, N = 4;
+      std::vector<int> Committed, TimedOut;
+      RegionOptions Ro;
+      Ro.Workers = 2;
+      Ro.Pipeline = K;
+      Ro.TimeoutSec = 0.5;
+      Rt.regionBatch(Regions, N, Ro, [&] {
+        double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+        if (Rt.isSampling() && Rt.regionOrdinal() == 2 &&
+            Rt.sampleIndex() == 1)
+          sleep(30); // far past the budget; SIGKILL arrives first
+        if (Rt.isSampling())
+          Rt.aggregate("x", encodeDouble(X), nullptr);
+        Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+          Committed.push_back(V.countStatus(SampleStatus::Committed));
+          TimedOut.push_back(V.countStatus(SampleStatus::TimedOut));
+        });
+      });
+      uint64_t Timeouts = Rt.timedOutSamples();
+      Rt.finish();
+      CHECK_OR(Committed.size() == static_cast<size_t>(Regions), 2);
+      for (int R = 0; R != Regions; ++R) {
+        CHECK_OR(Committed[R] == (R == 1 ? N - 1 : N), 10 + R);
+        CHECK_OR(TimedOut[R] == (R == 1 ? 1 : 0), 20 + R);
+      }
+      CHECK_OR(Timeouts == 1, 3);
+    }
+  }
+  return 0;
+}
+
 int scenarioPoolForkFailureFewerWorkers() {
   // A failed worker fork shrinks the pool, not the sample set: the
   // surviving worker drains every lease alone.
@@ -477,7 +525,7 @@ int scenarioPoolForkFailureFewerWorkers() {
   Opts.MaxPool = 8;
   Opts.Seed = 47;
   Opts.Backend = StoreBackend::Shm;
-  Opts.DebugFailForkAt = 0; // first worker slot never forks
+  Opts.InjectPlan = "fork@n1:EAGAIN"; // first worker slot never forks
   Rt.init(Opts);
 
   const int N = 6;
@@ -528,6 +576,10 @@ TEST(ProcPoolTest, KilledWorkerLeaseRerun) {
 
 TEST(ProcPoolTest, TimeoutRetiresLeases) {
   EXPECT_EQ(runScenario(scenarioPoolTimeoutRetiresLeases), 0);
+}
+
+TEST(ProcPoolTest, BatchDeadlineStaysInItsRegion) {
+  EXPECT_EQ(runScenario(scenarioBatchDeadlineStaysInItsRegion), 0);
 }
 
 TEST(ProcPoolTest, ForkFailureMeansFewerWorkers) {

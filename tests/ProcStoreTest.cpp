@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "inject/Inject.h"
 #include "proc/Runtime.h"
 
 #include <gtest/gtest.h>
@@ -62,14 +63,20 @@ int scenarioTornSlabCommitUnpublished() {
   Opts.MaxPool = 8;
   Opts.Seed = 31;
   Opts.Backend = StoreBackend::Shm;
-  Opts.DebugKillMidCommitAt = 1;
   Rt.init(Opts);
 
   const int N = 4;
   Rt.sampling(N);
   double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-  if (Rt.isSampling())
+  if (Rt.isSampling()) {
+    // Child 1 arms the slab's publish kill point for its own commit: it
+    // dies between the payload copy and the Ready store.
+    std::string Err;
+    if (Rt.sampleIndex() == 1 &&
+        !inject::armText("tp.slab.publish@n1:kill", Err))
+      return 98;
     Rt.aggregate("x2", encodeDouble(X * X), nullptr);
+  }
 
   ScalarAccumulator &Acc = Rt.foldScalar("x2");
   int Committed = -1, Crashed = -1;
@@ -338,7 +345,8 @@ struct RegionResults {
   std::vector<double> Values;
 };
 
-int runBatchedRun(int K, const char *Plan, std::vector<RegionResults> &Out) {
+int runBatchedRun(int K, bool Batched, const char *Plan,
+                  std::vector<RegionResults> &Out) {
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
@@ -379,7 +387,7 @@ int runBatchedRun(int K, const char *Plan, std::vector<RegionResults> &Out) {
     // and drains the remaining leases without reaching it again.
     Ro.Workers = 1;
   }
-  if (K > 1) {
+  if (Batched) {
     Rt.regionBatch(BatchRegions, BatchSamples, Ro, Body);
   } else {
     for (int R = 0; R != BatchRegions; ++R)
@@ -397,7 +405,7 @@ int runBatchedRun(int K, const char *Plan, std::vector<RegionResults> &Out) {
 
 int scenarioBatchEquivalence() {
   std::vector<RegionResults> Seq, Bat;
-  CHECK_OR(runBatchedRun(1, nullptr, Seq) == 0, 2);
+  CHECK_OR(runBatchedRun(1, /*Batched=*/false, nullptr, Seq) == 0, 2);
   // The 'n' selector counts every tp.* call in the process, and the
   // single worker inherits one (batch.begin) and emits three per lease
   // (lease.begin, store.commit, lease.end): lease Idx begins at ordinal
@@ -406,7 +414,7 @@ int scenarioBatchEquivalence() {
   // the replacement re-runs it with an identical reseed, so the batch
   // must still match the sequential run exactly.
   const char *Plan = GBatchKill ? "tp.lease.begin@n53:kill" : nullptr;
-  int Rc = runBatchedRun(GBatchK, Plan, Bat);
+  int Rc = runBatchedRun(GBatchK, /*Batched=*/true, Plan, Bat);
   CHECK_OR(Rc == 0, Rc ? Rc : 3);
 
   CHECK_OR(Seq.size() == static_cast<size_t>(BatchRegions), 4);
@@ -432,13 +440,16 @@ struct BatchParam {
 class BatchEquivalenceTest : public ::testing::TestWithParam<BatchParam> {};
 
 //===----------------------------------------------------------------------===//
-// Slab recycling and huge pages
+// Slab recycling
 //===----------------------------------------------------------------------===//
+
+int GSlabBatched = 0; // run the regions as one Pipeline-1 regionBatch()
 
 int scenarioSlabRecyclingLongRun() {
   // A run committing 10x the slab's record capacity must never hit the
   // exhaustion fallback: each region fits, and the epoch recycle between
-  // regions keeps reclaiming the consumed window.
+  // regions keeps reclaiming the consumed window. A batch with one
+  // region in flight recycles between its deliveries the same way.
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
@@ -448,17 +459,26 @@ int scenarioSlabRecyclingLongRun() {
   Rt.init(Opts);
 
   const int Regions = 40, N = 16; // 640 records through a 64-record slab
-  for (int Region = 0; Region != Regions; ++Region) {
-    Rt.sampling(N);
+  int Short = 0;                  // regions delivering fewer than N
+  auto Body = [&] {
     double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
     if (Rt.isSampling())
       Rt.aggregate("x2", encodeDouble(X * X), nullptr);
-    int Committed = -1;
     Rt.aggregate("x2", encodeDouble(0), [&](AggregationView &V) {
-      Committed = static_cast<int>(V.committed("x2").size());
+      Short += static_cast<int>(V.committed("x2").size()) != N;
     });
-    CHECK_OR(Committed == N, 3);
+  };
+  if (GSlabBatched) {
+    RegionOptions Ro;
+    Ro.Pipeline = 1;
+    Rt.regionBatch(Regions, N, Ro, Body);
+  } else {
+    for (int Region = 0; Region != Regions; ++Region) {
+      Rt.sampling(N);
+      Body();
+    }
   }
+  CHECK_OR(Short == 0, 3);
   obs::RuntimeMetrics M = Rt.metrics();
   CHECK_OR(Rt.shmCommits() == static_cast<uint64_t>(Regions * N), 4);
   CHECK_OR(M.Fallbacks[int(obs::FallbackReason::Exhausted)] == 0, 5);
@@ -467,33 +487,6 @@ int scenarioSlabRecyclingLongRun() {
   CHECK_OR(M.SlabRecycles >= static_cast<uint64_t>(Regions / 2 - 1), 7);
   CHECK_OR(M.SlabRecordsHighWater == static_cast<uint64_t>(Regions * N), 8);
   CHECK_OR(M.SlabEpochHighWater <= 64, 9);
-  Rt.finish();
-  return 0;
-}
-
-int scenarioHugePagesAdvisory() {
-  // HugePages is advisory: the kernel may decline. The contract is that
-  // the request was made and accounted, and the run still works.
-  Runtime &Rt = Runtime::get();
-  RuntimeOptions Opts;
-  Opts.MaxPool = 8;
-  Opts.Seed = 36;
-  Opts.Backend = StoreBackend::Shm;
-  Opts.HugePages = true;
-  Rt.init(Opts);
-
-  const int N = 4;
-  Rt.sampling(N);
-  double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-  if (Rt.isSampling())
-    Rt.aggregate("x2", encodeDouble(X * X), nullptr);
-  int Committed = -1;
-  Rt.aggregate("x2", encodeDouble(0), [&](AggregationView &V) {
-    Committed = static_cast<int>(V.committed("x2").size());
-  });
-  CHECK_OR(Committed == N, 2);
-  obs::RuntimeMetrics M = Rt.metrics();
-  CHECK_OR(M.ThpGranted + M.ThpDeclined >= 1, 3);
   Rt.finish();
   return 0;
 }
@@ -513,11 +506,13 @@ TEST(ProcStoreTest, SlabExhaustionOverflowsToFiles) {
 }
 
 TEST(ProcStoreTest, SlabRecyclingSustainsLongRuns) {
+  GSlabBatched = 0;
   EXPECT_EQ(runScenario(scenarioSlabRecyclingLongRun), 0);
 }
 
-TEST(ProcStoreTest, HugePagesAdvisoryIsAccounted) {
-  EXPECT_EQ(runScenario(scenarioHugePagesAdvisory), 0);
+TEST(ProcStoreTest, SlabRecyclingSustainsLongBatches) {
+  GSlabBatched = 1;
+  EXPECT_EQ(runScenario(scenarioSlabRecyclingLongRun), 0);
 }
 
 TEST_P(StoreEquivalenceTest, FilesAndShmAgree) {
@@ -554,11 +549,13 @@ TEST_P(BatchEquivalenceTest, BatchedMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchEquivalenceTest,
-    ::testing::Values(BatchParam{SamplingKind::Random, 2},
+    ::testing::Values(BatchParam{SamplingKind::Random, 1},
+                      BatchParam{SamplingKind::Random, 2},
                       BatchParam{SamplingKind::Random, 4},
                       BatchParam{SamplingKind::Stratified, 2},
                       BatchParam{SamplingKind::Stratified, 4},
                       BatchParam{SamplingKind::Random, 2, true},
+                      BatchParam{SamplingKind::Stratified, 1, true},
                       BatchParam{SamplingKind::Stratified, 4, true}),
     [](const ::testing::TestParamInfo<BatchParam> &Info) {
       std::string Name = Info.param.Kind == SamplingKind::Random

@@ -14,11 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <new>
 
 using namespace wbt;
 using namespace wbt::proc;
@@ -48,6 +52,44 @@ int runScenario(int (*Scenario)()) {
     if (!(COND))                                                               \
       return CODE;                                                             \
   } while (false)
+
+/// A counter shared across processes, owned by the test: the scenarios
+/// below check what sampling children and @split tuning processes did
+/// by having each of them add into one. Count is bumped last, with
+/// release, so a reader that sees a count also sees the values it
+/// counts.
+struct SharedCell {
+  std::atomic<int64_t> Sum{0};
+  std::atomic<int64_t> Min{std::numeric_limits<int64_t>::max()};
+  std::atomic<int64_t> Max{std::numeric_limits<int64_t>::min()};
+  std::atomic<int64_t> Count{0};
+
+  void add(int64_t X) {
+    Sum.fetch_add(X);
+    int64_t Cur = Min.load();
+    while (X < Cur && !Min.compare_exchange_weak(Cur, X)) {
+    }
+    Cur = Max.load();
+    while (X > Cur && !Max.compare_exchange_weak(Cur, X)) {
+    }
+    Count.fetch_add(1, std::memory_order_release);
+  }
+  int64_t count() const { return Count.load(std::memory_order_acquire); }
+};
+
+/// Maps eight SharedCells MAP_SHARED. Call before the runtime forks
+/// anything, so every descendant inherits the same cells.
+SharedCell *mapSharedCells() {
+  constexpr int NumCells = 8;
+  void *Mem = mmap(nullptr, NumCells * sizeof(SharedCell),
+                   PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (Mem == MAP_FAILED)
+    abort();
+  auto *Cells = static_cast<SharedCell *>(Mem);
+  for (int I = 0; I != NumCells; ++I)
+    new (&Cells[I]) SharedCell();
+  return Cells;
+}
 
 int scenarioBasicSamplingAggregate() {
   Runtime &Rt = Runtime::get();
@@ -173,6 +215,7 @@ int scenarioExposeLoad() {
 }
 
 int scenarioSplitContinues() {
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
@@ -185,9 +228,9 @@ int scenarioSplitContinues() {
   if (Rt.isSampling())
     Rt.aggregate("x", encodeDouble(X), nullptr);
 
-  // Split one child tuning process per committed sample > 0.3; each adds
-  // its inherited value into a shared accumulator, proving it carried the
-  // regular store across the split.
+  // Split one child tuning process per committed sample > 0.3; each
+  // counts itself only if its inherited value is one of them, proving it
+  // carried the regular store across the split.
   bool IsSplitChild = false;
   double Carried = 0.0;
   int Expected = 0;
@@ -205,21 +248,19 @@ int scenarioSplitContinues() {
     }
   });
   if (IsSplitChild) {
-    Rt.sharedScalarAdd(0, Carried);
+    if (Carried > 0.3)
+      Cells[0].add(1);
     Rt.finishAndExit();
   }
-  // Root waits for split children inside finish(); check the accumulator
-  // before tearing down.
-  size_t SeenBefore = 0;
-  (void)SeenBefore;
+  // The root waits for its split children inside finish().
   Rt.finish();
-  // finish() destroyed the shared block; validate via a second runtime?
-  // Instead re-run with KeepFiles: simpler to validate Expected > 0 here.
   CHECK_OR(Expected > 0, 2);
+  CHECK_OR(Cells[0].count() == Expected, 3);
   return 0;
 }
 
 int scenarioSplitSharedAccumulator() {
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
@@ -229,21 +270,21 @@ int scenarioSplitSharedAccumulator() {
   // Three split children each add 1 into cell 1.
   for (int I = 0; I != 3; ++I) {
     if (Rt.split()) {
-      Rt.sharedScalarAdd(1, 1.0);
+      Cells[1].add(1);
       Rt.finishAndExit();
     }
   }
-  // Wait for all descendants without tearing down: use the finish()
-  // protocol through a temporary check of the counter.
-  while (Rt.sharedScalarCount(1) < 3)
+  // Wait for all three contributions while the runtime is still up.
+  while (Cells[1].count() < 3)
     usleep(1000);
-  CHECK_OR(Rt.sharedScalarCount(1) == 3, 2);
-  CHECK_OR(Rt.sharedScalarMean(1) == 1.0, 3);
+  CHECK_OR(Cells[1].count() == 3, 2);
+  CHECK_OR(Cells[1].Sum.load() == 3, 3); // mean 1.0
   Rt.finish();
   return 0;
 }
 
 int scenarioSyncBarrier() {
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8; // region of 4 fits the pool, as sync requires
@@ -252,15 +293,15 @@ int scenarioSyncBarrier() {
 
   const int N = 4;
   Rt.sampling(N);
-  double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-  // Phase 1: every child publishes into the shared accumulator.
+  (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
+  // Phase 1: every child counts itself into the shared cell.
   if (Rt.isSampling())
-    Rt.sharedScalarAdd(2, X);
+    Cells[2].add(1);
   double MidCount = 0;
-  Rt.sync([&] { MidCount = static_cast<double>(Rt.sharedScalarCount(2)); });
+  Rt.sync([&] { MidCount = static_cast<double>(Cells[2].count()); });
   // After the barrier, all N contributions are visible to everyone.
   if (Rt.isSampling()) {
-    double Seen = static_cast<double>(Rt.sharedScalarCount(2));
+    double Seen = static_cast<double>(Cells[2].count());
     Rt.aggregate("seen", encodeDouble(Seen), nullptr);
   }
   bool AllSawAll = true;
@@ -275,11 +316,12 @@ int scenarioSyncBarrier() {
 }
 
 int scenarioSharedVote() {
+  // Majority vote over every sampling process' mask, folded tuning-side
+  // as the commits arrive (paper Sec. IV-B's MV aggregation).
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
   Opts.Seed = 8;
-  Opts.VoteSlots = 16;
   Rt.init(Opts);
 
   const int N = 5;
@@ -291,18 +333,20 @@ int scenarioSharedVote() {
     std::vector<uint8_t> Mask(8, 0);
     for (int J = 0; J != 8; ++J)
       Mask[J] = J < Rt.sampleIndex() + 2 ? 1 : 0;
-    Rt.sharedVoteAdd(Mask);
-    Rt.aggregate("done", encodeDouble(1), nullptr);
+    Rt.aggregate("mask", encodeVector(Mask), nullptr);
   }
+  VoteAccumulator &Votes = Rt.foldVote("mask");
   std::vector<uint8_t> Result;
-  Rt.aggregate("done", encodeDouble(0), [&](AggregationView &) {
-    Result = Rt.sharedVoteResult(0.5);
+  size_t Runs = 0;
+  Rt.aggregate("mask", {}, [&](AggregationView &) {
+    Result = Votes.result(0.5);
+    Runs = Votes.runs();
   });
   CHECK_OR(Result.size() == 8, 2);
   CHECK_OR(Result[0] == 1 && Result[1] == 1, 3); // set in all 5 runs
   CHECK_OR(Result[3] == 1, 4);                   // set in 3/5 runs
   CHECK_OR(Result[4] == 0 && Result[7] == 0, 5); // set in <=2/5 runs
-  CHECK_OR(Rt.sharedVoteRuns() == 5, 6);
+  CHECK_OR(Runs == 5, 6);
   Rt.finish();
   return 0;
 }
@@ -443,6 +487,7 @@ namespace {
 int scenarioDeepSplitChain() {
   // A split child that splits again: the live-tuning-process accounting
   // must cover grandchildren, and each generation carries its state.
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   // Nested tuning spawns need headroom under the 75% gate: with pool 16
@@ -456,17 +501,98 @@ int scenarioDeepSplitChain() {
     Depth = 1;
     if (Rt.split()) {
       Depth = 2;
-      Rt.sharedScalarAdd(3, Depth);
+      Cells[3].add(Depth);
       Rt.finishAndExit();
     }
-    Rt.sharedScalarAdd(3, Depth);
+    Cells[3].add(Depth);
     Rt.finishAndExit();
   }
-  while (Rt.sharedScalarCount(3) < 2)
+  while (Cells[3].count() < 2)
     usleep(1000);
-  CHECK_OR(Rt.sharedScalarMin(3) == 1.0, 2);
-  CHECK_OR(Rt.sharedScalarMax(3) == 2.0, 3);
+  CHECK_OR(Cells[3].Min.load() == 1, 2);
+  CHECK_OR(Cells[3].Max.load() == 2, 3);
   Rt.finish();
+  return 0;
+}
+
+int scenarioSplitInsidePoolRegions() {
+  // split() from inside a pool region's aggregation callback: once in a
+  // one-region batch (samplingRegion) and once in the first delivery of
+  // a three-region batch. Each split child must leave the region's
+  // table, workers, barrier slot and lease slot to its parent and run
+  // what follows on slots of its own -- the batch's child runs the two
+  // remaining regions itself, as a split child of sequential regions
+  // would. A slot released by both processes makes the slot free-list
+  // abort the second releaser, and a region run on a stale table
+  // delivers short counts.
+  SharedCell *Cells = mapSharedCells();
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 16;
+  Opts.Seed = 32;
+  Rt.init(Opts);
+
+  const int N = 4;
+  bool Child = false;
+  Rt.samplingRegion(N, [&] {
+    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling())
+      Rt.aggregate("x", encodeDouble(X), nullptr);
+    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &) {
+      Child = Rt.split();
+    });
+  });
+
+  // Parent and child now run sync regions side by side; each sampling
+  // child waits until all six exist, so both barriers are live at once.
+  const int SyncN = 3;
+  Rt.sampling(SyncN);
+  (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
+  if (Rt.isSampling()) {
+    Cells[0].add(1);
+    for (int Waited = 0; Cells[0].count() < 2 * SyncN && Waited != 5000;
+         ++Waited)
+      usleep(1000);
+  }
+  int Arrived = 0;
+  Rt.sync([&] { Arrived = 1; });
+  if (Rt.isSampling())
+    Rt.aggregate("done", encodeDouble(1), nullptr);
+  int SyncCommitted = -1;
+  Rt.aggregate("done", encodeDouble(0), [&](AggregationView &V) {
+    SyncCommitted = V.countStatus(SampleStatus::Committed);
+  });
+
+  // Then a pipelined batch each; the root splits again in its first
+  // delivery.
+  bool BatchChild = false;
+  int Full = 0;
+  RegionOptions Ro;
+  Ro.Workers = 2;
+  Ro.Pipeline = 2;
+  Rt.regionBatch(3, N, Ro, [&] {
+    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling())
+      Rt.aggregate("x", encodeDouble(X), nullptr);
+    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+      Full += V.countStatus(SampleStatus::Committed) == N;
+      if (!Child && !BatchChild && Full == 1)
+        BatchChild = Rt.split();
+    });
+  });
+
+  bool Ok = SyncCommitted == SyncN && Arrived == 1 && Full == 3;
+  if (Child || BatchChild) {
+    if (Ok)
+      Cells[1].add(1);
+    Rt.finishAndExit();
+  }
+  Rt.finish();
+  CHECK_OR(SyncCommitted == SyncN, 2);
+  CHECK_OR(Arrived == 1, 3);
+  CHECK_OR(Full == 3, 4);
+  CHECK_OR(Cells[0].count() == 2 * SyncN, 5);
+  CHECK_OR(Cells[1].count() == 2, 6); // both split children succeeded
   return 0;
 }
 
@@ -476,6 +602,7 @@ int scenarioSplitOnSmallPool() {
   // 75% threshold and split() blocked forever (stress_runtime seed 124).
   // The alarm turns a regressed deadlock into a fast signal death.
   alarm(20);
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 4;
@@ -483,12 +610,12 @@ int scenarioSplitOnSmallPool() {
   Rt.init(Opts);
 
   if (Rt.split()) {
-    Rt.sharedScalarAdd(1, 7.0);
+    Cells[1].add(7);
     Rt.finishAndExit();
   }
-  while (Rt.sharedScalarCount(1) < 1)
+  while (Cells[1].count() < 1)
     usleep(1000);
-  CHECK_OR(Rt.sharedScalarMax(1) == 7.0, 2);
+  CHECK_OR(Cells[1].Max.load() == 7, 2);
   Rt.finish();
   alarm(0);
   return 0;
@@ -556,6 +683,7 @@ int scenarioKeepFilesLeavesStore() {
 int scenarioConsecutiveSyncBarriers() {
   // Two @sync points in one region: the generation counter must separate
   // them.
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
@@ -565,12 +693,12 @@ int scenarioConsecutiveSyncBarriers() {
   Rt.sampling(3);
   (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
   if (Rt.isSampling())
-    Rt.sharedScalarAdd(4, 1.0);
+    Cells[4].add(1);
   double AtFirst = -1, AtSecond = -1;
-  Rt.sync([&] { AtFirst = static_cast<double>(Rt.sharedScalarCount(4)); });
+  Rt.sync([&] { AtFirst = static_cast<double>(Cells[4].count()); });
   if (Rt.isSampling())
-    Rt.sharedScalarAdd(4, 1.0);
-  Rt.sync([&] { AtSecond = static_cast<double>(Rt.sharedScalarCount(4)); });
+    Cells[4].add(1);
+  Rt.sync([&] { AtSecond = static_cast<double>(Cells[4].count()); });
   if (Rt.isSampling())
     Rt.aggregate("done", encodeDouble(1), nullptr);
   Rt.aggregate("done", encodeDouble(0), nullptr);
@@ -584,6 +712,10 @@ int scenarioConsecutiveSyncBarriers() {
 
 TEST(ProcRuntimeTest, SplitCompletesOnSmallPool) {
   EXPECT_EQ(runScenario(scenarioSplitOnSmallPool), 0);
+}
+
+TEST(ProcRuntimeTest, SplitInsidePoolRegions) {
+  EXPECT_EQ(runScenario(scenarioSplitInsidePoolRegions), 0);
 }
 
 TEST(ProcRuntimeTest, DeepSplitChains) {
@@ -806,39 +938,10 @@ int scenarioRetryRespawnsSpares() {
   return 0;
 }
 
-int scenarioForkFailureSkipsSample() {
-  // A failed fork(2) (injected via the testing hook) must skip the sample
-  // cleanly — no bogus pid in the wait set, barrier and slot accounting
-  // intact — instead of the old assert/UB path.
-  Runtime &Rt = Runtime::get();
-  RuntimeOptions Opts;
-  Opts.MaxPool = 8;
-  Opts.Seed = 22;
-  Opts.DebugFailForkAt = 2;
-  Rt.init(Opts);
-
-  int FreeBefore = Rt.freeSlots();
-  const int N = 4;
-  Rt.sampling(N);
-  double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-  if (Rt.isSampling())
-    Rt.aggregate("x", encodeDouble(X), nullptr);
-  int Committed = -1, ForkFailed = -1;
-  Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
-    Committed = V.countStatus(SampleStatus::Committed);
-    ForkFailed = V.countStatus(SampleStatus::ForkFailed);
-  });
-  CHECK_OR(Committed == N - 1, 2);
-  CHECK_OR(ForkFailed == 1, 3);
-  CHECK_OR(Rt.freeSlots() == FreeBefore, 4);
-  CHECK_OR(Rt.forkFailures() == 1, 5);
-  Rt.finish();
-  return 0;
-}
-
 int scenarioCrashBeforeSyncBarrier() {
   // A child that dies before reaching @sync must be removed from the
   // barrier's expected set or every surviving process deadlocks.
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
@@ -851,10 +954,10 @@ int scenarioCrashBeforeSyncBarrier() {
   if (Rt.isSampling()) {
     if (Rt.sampleIndex() == 3)
       abort(); // dies before arriving at the barrier
-    Rt.sharedScalarAdd(5, 1.0);
+    Cells[5].add(1);
   }
   double AtBarrier = -1;
-  Rt.sync([&] { AtBarrier = static_cast<double>(Rt.sharedScalarCount(5)); });
+  Rt.sync([&] { AtBarrier = static_cast<double>(Cells[5].count()); });
   if (Rt.isSampling())
     Rt.aggregate("done", encodeDouble(1), nullptr);
   int Crashed = -1, Committed = -1;
@@ -873,6 +976,7 @@ int scenarioConcurrentRegionsDistinctBarriers() {
   // Two post-split tuning processes run sync regions concurrently; the
   // shared barrier free-list must hand them distinct slots (the old
   // hash-based choice could collide and corrupt the counts).
+  SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 16;
@@ -889,7 +993,7 @@ int scenarioConcurrentRegionsDistinctBarriers() {
   (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
   int Cell = 6;
   if (Rt.isSampling())
-    Rt.sharedScalarAdd(Cell, 1.0);
+    Cells[Cell].add(1);
   double Arrived = -1;
   Rt.sync([&] { Arrived = 1; });
   if (Rt.isSampling())
@@ -900,16 +1004,16 @@ int scenarioConcurrentRegionsDistinctBarriers() {
   });
   if (Child) {
     if (Committed == N && Arrived == 1)
-      Rt.sharedScalarAdd(7, 1.0);
+      Cells[7].add(1);
     Rt.finishAndExit();
   }
   CHECK_OR(Committed == N, 2);
   CHECK_OR(Arrived == 1, 3);
-  while (Rt.sharedScalarCount(7) < 2)
+  while (Cells[7].count() < 2)
     usleep(1000);
-  CHECK_OR(Rt.sharedScalarCount(7) == 2, 4); // both children succeeded
+  CHECK_OR(Cells[7].count() == 2, 4); // both children succeeded
   // All 3 * N sampling children contributed.
-  CHECK_OR(Rt.sharedScalarCount(Cell) == 3 * N, 5);
+  CHECK_OR(Cells[Cell].count() == 3 * N, 5);
   Rt.finish();
   return 0;
 }
@@ -983,10 +1087,6 @@ TEST(ProcFailureTest, AbortPlusTimeoutReclaimsBothSlots) {
 
 TEST(ProcFailureTest, RetryRespawnsSpareSamples) {
   EXPECT_EQ(runScenario(scenarioRetryRespawnsSpares), 0);
-}
-
-TEST(ProcFailureTest, ForkFailureSkipsSample) {
-  EXPECT_EQ(runScenario(scenarioForkFailureSkipsSample), 0);
 }
 
 TEST(ProcFailureTest, CrashBeforeSyncDoesNotDeadlock) {
