@@ -8,6 +8,7 @@
 
 #include "inject/Sys.h"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -87,4 +88,13 @@ bool AgentChannel::recvFrame(std::vector<uint8_t> &Out) {
   }
   closeConn();
   return false;
+}
+
+bool AgentChannel::waitReadable(int TimeoutMs) {
+  if (Fd < 0)
+    return false;
+  if (In.buffered() != 0)
+    return true;
+  pollfd P{Fd, POLLIN, 0};
+  return ::poll(&P, 1, TimeoutMs) > 0;
 }

@@ -52,6 +52,13 @@ public:
   /// closed) on disconnect or a corrupt stream.
   bool recvFrame(std::vector<uint8_t> &Out);
 
+  /// Waits up to \p TimeoutMs for the server's next frame without
+  /// reading it: true when bytes are already buffered or the connection
+  /// turned readable (data, EOF or an error, which the next recvFrame()
+  /// reports). An agent's pause after an empty grant, cut short by any
+  /// frame the server sends meanwhile.
+  bool waitReadable(int TimeoutMs);
+
 private:
   std::string Addr;
   uint16_t Port;

@@ -105,9 +105,10 @@ void LeaseServer::closeRegion() {
   // Ack harvest: every live agent answers RegionClose with a TraceFrame
   // flush (possibly empty), so its buffered records — and any flush
   // still in flight behind its last CommitBatch — land before the
-  // region settles and emits RegionEnd. The wait is bounded: a dead or
-  // wedged agent can stall the close by at most CloseHarvestNs, and its
-  // straggler records are picked up by later pumps instead.
+  // region settles and emits RegionEnd. A healthy agent costs one round
+  // trip; only a dead or wedged one can stall the close, by at most
+  // CloseHarvestNs, and its straggler records are picked up by later
+  // pumps instead.
   constexpr uint64_t CloseHarvestNs = 25'000'000; // 25 ms
   std::vector<std::pair<uint32_t, uint64_t>> Pending; // (agent, frames@close)
   for (const std::unique_ptr<Conn> &C : Conns)
@@ -327,6 +328,13 @@ void LeaseServer::closeAll() {
     ::close(ListenFd);
     ListenFd = -1;
   }
+}
+
+size_t LeaseServer::agents() const {
+  size_t N = 0;
+  for (const std::unique_ptr<Conn> &C : Conns)
+    N += C->HaveHello;
+  return N;
 }
 
 size_t LeaseServer::ownedLeases() const {

@@ -62,10 +62,10 @@ struct NetStats {
 class LeaseServer {
 public:
   struct Callbacks {
-    /// Claim up to \p Want leases for a remote agent (returned-first,
-    /// then the bounded shared counter — the runtime's policy). The
-    /// runtime must mark every returned index claimed before this
-    /// returns.
+    /// Grant leases to a remote agent that asked for up to \p Want. The
+    /// runtime decides how many (its share of the work left) and which
+    /// (returned-first, then the bounded shared counter), and must mark
+    /// every returned index claimed before this returns.
     std::function<std::vector<int64_t>(uint32_t Want)> Claim;
     /// Apply one lease result. Only called while the sending connection
     /// owns the lease; the runtime still guards with its state CAS, so
@@ -101,6 +101,8 @@ public:
   /// Ends the window: agents are told, stale frames die on the
   /// generation check from here on. Leftover owned leases (none, unless
   /// the caller is tearing down early) are handed to Callbacks::Return.
+  /// Returns once every live agent has acked the close with a TraceFrame
+  /// (one round trip), or after a 25 ms bound for dead or wedged agents.
   void closeRegion();
   bool regionOpen() const { return RegionIsOpen; }
   uint64_t generation() const { return Gen; }
@@ -117,6 +119,8 @@ public:
   size_t ownedLeases() const;
   bool ownsLease(int64_t Lease) const;
   size_t connections() const { return Conns.size(); }
+  /// Connections that have sent Hello: the agents a grant shares with.
+  size_t agents() const;
 
   /// Deadline path: drops every connection, returning owned leases
   /// through Callbacks::Return (which, past the deadline, retires them

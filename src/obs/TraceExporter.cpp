@@ -182,7 +182,10 @@ std::string chromeTraceJson(std::vector<TraceEvent> Events) {
       }
     } else {
       openRecord(Out, First, eventKindName(K), "i", Ev.Pid, Ts);
-      appendf(Out, ", \"s\": \"t\", \"args\": {\"a\": %" PRIu64 "}}", Ev.A);
+      appendf(Out,
+              ", \"s\": \"t\", \"args\": {\"a\": %" PRIu64 ", \"b\": %" PRIu64
+              "}}",
+              Ev.A, Ev.B);
     }
   }
 

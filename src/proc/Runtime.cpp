@@ -214,7 +214,7 @@ struct ChildSlot {
 struct LeaseCell {
   std::atomic<int32_t> State;    // LeaseState
   std::atomic<int32_t> Signal;   // terminating signal of a crashed owner
-  std::atomic<int32_t> Attempts; // times a worker started this lease
+  std::atomic<int32_t> Attempts; // times a local worker started it
 };
 
 /// Header of the per-region shared child table; ChildSlot[NumSlots]
@@ -1806,6 +1806,7 @@ void Runtime::openLeaseTable(uint64_t Base, int Regions, int N, int W,
     Leases[I].Attempts.store(0, std::memory_order_relaxed);
   }
   Reaped.assign(static_cast<size_t>(NumSlots), 0);
+  TableWorkers = Workers;
   LeaseSlot = Ctl->acquireLeaseSlot();
   Ctl->leaseReset(LeaseSlot);
   BarrierSlot = Ctl->acquireBarrierSlot();
@@ -2205,21 +2206,37 @@ void Runtime::netCloseRegion() {
     NetServer->closeRegion();
 }
 
-/// Server callback: claim up to \p Want leases for a remote agent —
-/// the local workers' claim (tryClaimLease: returned leases first, then
-/// the bounded shared counter), just batched. The claim marks (LsClaimed,
-/// Attempts) are applied here, in the tuning process, so by the time
-/// anyone else looks a remote claim is indistinguishable from a local
-/// one.
+/// Server callback: grant a remote agent its share of the work that is
+/// left — at most ⌈claimable ÷ claimants⌉ leases (guided
+/// self-scheduling), where claimable counts the unclaimed leases below
+/// the claim limit plus the returned ones, and claimants the table's
+/// local workers plus every agent that has sent Hello. Grants shrink as
+/// the window drains, so no agent sits on a long chunk while the others
+/// go idle. The leases themselves are the local workers' claim
+/// (tryClaimLease: returned leases first, then the bounded shared
+/// counter), just batched, and marked LsClaimed here, in the tuning
+/// process. A grant is a reservation, not a run: it charges no attempt,
+/// because a disconnect hands back every lease of it, started or not,
+/// and the server cannot tell which ones ran. So a lease lost in
+/// transit is re-run however often its agents drop; the retry limit
+/// guards against samples that kill their local workers.
 std::vector<int64_t> Runtime::netClaimLeases(uint32_t Want) {
   std::vector<int64_t> Out;
   if (!Table || !Table->PoolMode)
     return Out;
-  while (Out.size() < Want) {
+  int64_t Limit = std::min<int64_t>(
+      Table->ClaimLimit.load(std::memory_order_acquire), Table->NumLeases);
+  int64_t Claimable =
+      std::max<int64_t>(0, Limit - Ctl->leaseNext(LeaseSlot)) +
+      Table->LeasesReturned.load(std::memory_order_acquire);
+  int64_t Claimants = std::max<int64_t>(
+      1, TableWorkers + static_cast<int64_t>(NetServer->agents()));
+  size_t Grant = static_cast<size_t>(std::min<int64_t>(
+      Want, (Claimable + Claimants - 1) / Claimants));
+  while (Out.size() < Grant) {
     int Idx = tryClaimLease(/*Worker=*/false);
     if (Idx < 0)
       break; // drained (or pipeline-gated): the agent re-asks later
-    leasesOf(Table)[Idx].Attempts.fetch_add(1, std::memory_order_relaxed);
     Out.push_back(Idx);
   }
   return Out;
@@ -2287,6 +2304,11 @@ bool Runtime::netReturnLease(int64_t Lease) {
 /// failure (injected partitions and torn frames included) resets to a
 /// clean reconnect; whatever it had claimed has already been handed back
 /// by the server's disconnect path.
+///
+/// Every claim asks for the whole window and the server sizes the grant
+/// (netClaimLeases). Every RegionClose is acked with a TraceFrame, empty
+/// or not, whether the agent was parked or waiting on a claim: the
+/// server's close harvest waits for one per live agent.
 void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   Mode = ModeKind::Sampling;
   NetAgentMode = true;
@@ -2307,59 +2329,58 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   net::RegionOpenMsg Region;
   bool WindowOpen = false;
   std::vector<uint8_t> Payload;
+  // Applies one server frame other than an awaited ClaimResp; false on
+  // Shutdown. A ClaimResp landing here answers a claim the window
+  // already moved past and is dropped.
+  auto control = [&] {
+    switch (net::frameType(Payload)) {
+    case net::FrameType::Shutdown:
+      return false;
+    case net::FrameType::RegionOpen:
+      WindowOpen |= net::decodeRegionOpen(Payload, Region);
+      break;
+    case net::FrameType::RegionClose: {
+      uint64_t Gen = 0;
+      if (net::decodeRegionClose(Payload, Gen) && Gen == Region.Gen)
+        WindowOpen = false;
+      agentFlushTrace(Chan, /*Ack=*/true);
+      break;
+    }
+    default:
+      break;
+    }
+    return true;
+  };
   for (;;) {
     if (!Chan.connected() && !Chan.ensureConnected())
       break; // the server is gone for good
     if (!WindowOpen) {
       // Park on the wire until the next window (or Shutdown).
-      if (!Chan.recvFrame(Payload))
-        continue;
-      if (net::frameType(Payload) == net::FrameType::Shutdown)
+      if (Chan.recvFrame(Payload) && !control())
         break;
-      if (net::frameType(Payload) == net::FrameType::RegionOpen &&
-          net::decodeRegionOpen(Payload, Region))
-        WindowOpen = true;
-      else if (net::frameType(Payload) == net::FrameType::RegionClose)
-        // Close-ack even when parked: the server's close harvest waits
-        // for one TraceFrame per live agent before the region settles.
-        agentFlushTrace(Chan);
       continue;
     }
     net::ClaimReqMsg Req;
     Req.Gen = Region.Gen;
-    Req.Want = std::max(1u, Opts.NetLeaseChunk);
+    Req.Want = Region.Regions * Region.N;
     if (!Chan.sendFrame(net::encodeClaimReq(Req)))
       continue;
     // Wait for the matching ClaimResp; a RegionOpen or RegionClose
     // arriving instead moves the window and abandons this claim.
     net::ClaimRespMsg Resp;
-    bool HaveResp = false;
+    bool HaveResp = false, Stop = false;
     while (Chan.recvFrame(Payload)) {
-      net::FrameType T = net::frameType(Payload);
-      if (T == net::FrameType::ClaimResp) {
+      if (net::frameType(Payload) == net::FrameType::ClaimResp) {
         HaveResp =
             net::decodeClaimResp(Payload, Resp) && Resp.Gen == Region.Gen;
         break;
       }
-      if (T == net::FrameType::RegionOpen) {
-        if (net::decodeRegionOpen(Payload, Region))
-          break; // newer window: re-ask under its generation
-        continue;
-      }
-      if (T == net::FrameType::RegionClose) {
-        uint64_t Gen = 0;
-        if (net::decodeRegionClose(Payload, Gen) && Gen == Region.Gen)
-          WindowOpen = false;
-        // End-of-window flush: the server's closeRegion() harvest pumps
-        // read this batch before the region settles.
-        agentFlushTrace(Chan);
+      Stop = !control();
+      if (Stop || !WindowOpen || Region.Gen != Req.Gen)
         break;
-      }
-      if (T == net::FrameType::Shutdown) {
-        std::fflush(nullptr);
-        _exit(0);
-      }
     }
+    if (Stop)
+      break;
     if (!HaveResp)
       continue;
     if (Resp.Closed) {
@@ -2367,9 +2388,11 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
       continue;
     }
     if (Resp.Leases.empty()) {
-      // The local pool drained the counter for now (or the pipeline gate
-      // is down): ask again shortly instead of hammering the server.
-      ::usleep(1000);
+      // Nothing claimable right now (the others hold the rest, or the
+      // pipeline gate is down): ask again in 1 ms, or as soon as the
+      // server sends a frame — a close, an open or a Shutdown is then
+      // read at once instead of after a blind sleep.
+      Chan.waitReadable(1);
       continue;
     }
     net::CommitBatchMsg Batch;
@@ -2385,13 +2408,13 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
       // Piggy-back the buffered trace records on the same connection
       // while it is known-good; the server rebases their timestamps by
       // this connection's Hello clock offset.
-      agentFlushTrace(Chan);
+      agentFlushTrace(Chan, /*Ack=*/false);
   }
   // Last-chance flush (Shutdown or server gone): best effort — if the
   // connection is already dead the backlog dies with this process, like
   // any other buffered telemetry of a killed host.
   if (Chan.connected())
-    agentFlushTrace(Chan);
+    agentFlushTrace(Chan, /*Ack=*/false);
   std::fflush(nullptr);
   Ctl->childEventNotify();
   _exit(0);
@@ -2973,8 +2996,8 @@ void Runtime::traceEmitSlow(obs::EventKind Kind, uint64_t A, uint64_t B,
   Ctl->traceEmit(obs::makeEvent(Kind, A, B, Arg));
 }
 
-void Runtime::agentFlushTrace(net::AgentChannel &Chan) {
-  if (AgentTraceBuf.empty())
+void Runtime::agentFlushTrace(net::AgentChannel &Chan, bool Ack) {
+  if (AgentTraceBuf.empty() && !Ack)
     return;
   // Best effort: on send failure keep the backlog for the reconnect path
   // (the channel re-Hellos, re-establishing the clock offset the server

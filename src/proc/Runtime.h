@@ -228,9 +228,6 @@ struct RuntimeOptions {
   /// Listen address of the lease server (localhost simulation by
   /// default; the protocol itself does not care where agents run).
   std::string NetListenAddress = "127.0.0.1";
-  /// Lease-range size an agent claims per round trip — the wire
-  /// analogue of regionBatch() amortizing supervisor wakes.
-  unsigned NetLeaseChunk = 8;
   /// "ip:port" of the live metrics scrape endpoint (Prometheus text
   /// exposition, served threadless from the supervisor sweep; port 0 =
   /// kernel-picked, read back via Runtime::metricsPort()). Empty
@@ -625,8 +622,9 @@ private:
   /// Root supervisor: republishes the seqlock metrics page and pumps the
   /// scrape endpoint (zero timeout). Called from every sweep.
   void publishTelemetry();
-  /// Agent side: sends the buffered trace backlog as one TraceFrame.
-  void agentFlushTrace(net::AgentChannel &Chan);
+  /// Agent side: sends the buffered trace backlog as one TraceFrame; an
+  /// \p Ack (the answer to RegionClose) goes out even when it is empty.
+  void agentFlushTrace(net::AgentChannel &Chan, bool Ack);
   [[noreturn]] void exitChild();
   /// Spare child: blocks until activated (returns, to run the region body)
   /// or discarded (_exits, never returns).
@@ -749,6 +747,11 @@ private:
   int WorkerIndex = -1;             // its slot in the region table
   int LeaseIndex = -1; // claimed cell of the batch's flat lease table;
                        // ChildIndex is the within-region sample index
+  // Local workers the lease table opened with. It fills the padding
+  // before ZygotePids so the other members keep their relative layout:
+  // shifting the members below LeaseSlot by 8 bytes against those above
+  // cost kmeans-batch ~8% of its samples/s (cause not understood).
+  int TableWorkers = 0;
 
   // Zygote nursery state (root tuning side).
   bool ZygotesSpawned = false;
@@ -769,8 +772,8 @@ private:
   bool AgentCommitted = false; // current lease reached aggregate()
   /// Agent-side trace backlog: an agent's process has no shared ring
   /// with the root, so its traceEmitSlow() buffers here and the loop
-  /// flushes as TraceFrame batches (before each CommitBatch and on
-  /// RegionClose). Bounded; overflow drops the oldest half.
+  /// flushes as TraceFrame batches (after each CommitBatch and, as the
+  /// close ack, on RegionClose). Bounded; overflow drops the oldest half.
   std::vector<obs::TraceEvent> AgentTraceBuf;
 
   // Live telemetry plane (root tuning side).

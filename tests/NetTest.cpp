@@ -14,7 +14,10 @@
 //   - injected connect/recv faults (refused connects, mid-region resets)
 //     are survived through the agents' reconnect path,
 //   - regionBatch() composes with remote agents: one lease window spans
-//     the batch and per-region aggregates still match a local run.
+//     the batch and per-region aggregates still match a local run,
+//   - agents do not stall a region: every RegionClose is acked even
+//     with tracing off, and no grant exceeds the agent's share of the
+//     work left.
 //
 // Runtime scenarios run in forked children because the runtime is a
 // per-process singleton.
@@ -448,7 +451,6 @@ int scenarioNetRecvResetReconnects() {
   Opts.Seed = 80;
   Opts.Backend = StoreBackend::Shm;
   Opts.NetAgents = 2;
-  Opts.NetLeaseChunk = 4;
   Opts.InjectPlan = "recv@n6:ECONNRESET";
   Rt.init(Opts);
 
@@ -531,6 +533,27 @@ bool jsonNumField(const std::string &Line, const char *Key, double &Out) {
   return true;
 }
 
+/// Reads an exported trace file line by line. False when it is missing.
+bool readTraceLines(const std::string &Path, std::vector<std::string> &Lines) {
+  std::FILE *F = std::fopen(Path.c_str(), "r");
+  if (!F)
+    return false;
+  std::string Cur;
+  int C;
+  while ((C = std::fgetc(F)) != EOF) {
+    if (C == '\n') {
+      Lines.push_back(Cur);
+      Cur.clear();
+    } else {
+      Cur += static_cast<char>(C);
+    }
+  }
+  if (!Cur.empty())
+    Lines.push_back(Cur);
+  std::fclose(F);
+  return true;
+}
+
 /// Distributed trace correlation: a 4-agent region with tracing on must
 /// export a merged timeline where (a) agent pids get their own "agent"
 /// tracks and (b) every agent record's (clock-offset-rebased) timestamp
@@ -565,24 +588,8 @@ int scenarioNetTraceCorrelation() {
   // At least one TraceFrame batch was harvested over the wire.
   CHECK_OR(M.NetRecvTrace > 0, 3);
 
-  std::FILE *F = std::fopen(TracePath.c_str(), "r");
-  CHECK_OR(F != nullptr, 4);
   std::vector<std::string> Lines;
-  {
-    std::string Cur;
-    int C;
-    while ((C = std::fgetc(F)) != EOF) {
-      if (C == '\n') {
-        Lines.push_back(Cur);
-        Cur.clear();
-      } else {
-        Cur += static_cast<char>(C);
-      }
-    }
-    if (!Cur.empty())
-      Lines.push_back(Cur);
-  }
-  std::fclose(F);
+  CHECK_OR(readTraceLines(TracePath, Lines), 4);
   std::remove(TracePath.c_str());
 
   // Pass 1: agent pids (process_name metadata) and the region span.
@@ -628,6 +635,102 @@ int scenarioNetTraceCorrelation() {
   return 0;
 }
 
+/// The agent path's stall regressions run on this shape: a few
+/// 12-sample samplingRegion()s with ~2 ms bodies on one local worker
+/// and two agents, so a fair grant is ⌈12 ÷ 3⌉ = 4 leases. Every
+/// measured sample must commit exactly once. With tracing off, every
+/// RegionClose must come back acked by both agents (TraceFrames are
+/// then close acks only); an ack that missed its close's 25 ms harvest
+/// is read by a later pump, so one-sample regions keep the server
+/// pumping until the count is in or the attempts run out.
+int runAckedRegions(const std::string &TracePath, obs::RuntimeMetrics &M) {
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 8;
+  Opts.Seed = 83;
+  Opts.Backend = StoreBackend::Shm;
+  Opts.NetAgents = 2;
+  Opts.TracePath = TracePath;
+  Rt.init(Opts);
+
+  const int Regions = 4, N = 12;
+  std::vector<int> Commits;
+  RegionOptions Ro;
+  Ro.Workers = 1;
+  auto Body = [&] {
+    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling()) {
+      usleep(2000);
+      Rt.aggregate("x", encodeDouble(X), nullptr);
+    }
+    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+      for (int I : V.committed("x"))
+        ++Commits[I];
+    });
+  };
+  for (int R = 0; R != Regions; ++R) {
+    Commits.assign(N, 0);
+    Rt.samplingRegion(N, Ro, Body);
+    for (int C : Commits)
+      CHECK_OR(C == 1, 10 + R);
+  }
+  M = Rt.metrics();
+  if (TracePath.empty())
+    for (int Extra = 0; Extra != 40 && M.NetRecvTrace < 2u * Regions;
+         ++Extra) {
+      Commits.assign(1, 0);
+      Rt.samplingRegion(1, Ro, Body);
+      M = Rt.metrics();
+    }
+  Rt.finish();
+  CHECK_OR(M.NetRemoteLeases > 0, 2);
+  return 0;
+}
+
+int scenarioNetCloseAckedGrantShared() {
+  obs::RuntimeMetrics M;
+  int Rc = runAckedRegions("", M);
+  CHECK_OR(Rc == 0, Rc);
+  CHECK_OR(M.NetRecvTrace >= 2u * 4, 3);
+
+  std::string TracePath =
+      "/tmp/wbt-netshare-" + std::to_string(getpid()) + ".json";
+  Rc = runAckedRegions(TracePath, M);
+  CHECK_OR(Rc == 0, Rc + 20);
+  std::vector<std::string> Lines;
+  CHECK_OR(readTraceLines(TracePath, Lines), 4);
+  std::remove(TracePath.c_str());
+  // Grants (net-claim b = leases granted) once both agents have sent
+  // Hello (net-accept a = agent id) share the window three ways; an
+  // earlier grant shares it with the local worker and one agent only.
+  std::vector<double> Helloed;
+  double BothHello = -1;
+  int Shared = 0;
+  for (const std::string &L : Lines) {
+    double Ts, A, B;
+    if (!jsonNumField(L, "ts", Ts))
+      continue;
+    if (L.find("\"name\": \"net-accept\"") != std::string::npos &&
+        jsonNumField(L, "a", A) && BothHello < 0) {
+      bool Seen = false;
+      for (double H : Helloed)
+        Seen |= H == A;
+      if (!Seen)
+        Helloed.push_back(A);
+      if (Helloed.size() == 2)
+        BothHello = Ts;
+    }
+    if (L.find("\"name\": \"net-claim\"") == std::string::npos ||
+        BothHello < 0 || Ts <= BothHello)
+      continue;
+    CHECK_OR(jsonNumField(L, "b", B), 5);
+    CHECK_OR(B >= 1 && B <= 4, 6);
+    ++Shared;
+  }
+  CHECK_OR(Shared > 0, 7);
+  return 0;
+}
+
 int scenarioNetBatchMatchesLocal() {
   std::vector<std::vector<double>> Local, Mixed;
   CHECK_OR(runNetBatch(0, Local) == 0, 5);
@@ -670,6 +773,10 @@ TEST(NetRuntimeTest, BatchWithAgentsMatchesLocal) {
 
 TEST(NetRuntimeTest, AgentTraceRecordsCorrelateIntoRegionSpan) {
   EXPECT_EQ(runScenario(scenarioNetTraceCorrelation), 0);
+}
+
+TEST(NetRuntimeTest, EveryCloseAckedAndGrantsShared) {
+  EXPECT_EQ(runScenario(scenarioNetCloseAckedGrantShared), 0);
 }
 
 //===----------------------------------------------------------------------===//
