@@ -136,10 +136,10 @@ struct StoreAblationRow {
 /// `TracePath` turns the event ring on, measuring tracing's cost against
 /// the identical untraced configuration. A non-null `InjectPlan` arms
 /// fault injection with that plan text (use a never-firing clause to
-/// price the armed-but-idle wrapper checks). `Zygotes` > 0 runs pool
-/// regions on a pre-forked nursery of that many parked workers.
-/// `Pipeline` > 1 runs the timed regions as one regionBatch() call with
-/// that many regions in flight. `NetAgents` > 0 adds that many remote
+/// price the armed-but-idle wrapper checks). `Pipeline` > 0 runs the
+/// timed regions of a pool configuration as one regionBatch() call with
+/// that many regions in flight, so one worker set serves them all; 0
+/// runs them as sequential regions. `NetAgents` > 0 adds that many remote
 /// sampling agents over localhost TCP, racing the local pool for lease
 /// ranges. Each child times its own payload commit and sends the latency
 /// as its region result, which the tuning side folds.
@@ -147,11 +147,11 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
                                 bool Fold, bool Pool,
                                 const char *TracePath = nullptr,
                                 const char *InjectPlan = nullptr,
-                                unsigned Zygotes = 0, int Regions = 6,
-                                int Pipeline = 1, unsigned NetAgents = 0) {
+                                int Regions = 6, int Pipeline = 0,
+                                unsigned NetAgents = 0) {
   using namespace wbt::proc;
   // Untimed regions run first so one-time costs (shm slab creation, COW
-  // page faults, zygote nursery spawn, trace-file open) don't land in
+  // page faults, agent spawn, trace-file open) don't land in
   // whichever row happens to run first. Without this the ablation rows
   // were order-dependent: the traced row could beat its own untraced
   // baseline simply by running later. Throughput is then best-of-Trials
@@ -172,7 +172,6 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
   // into the file fallback and muddies the store comparison.
   Opts.ShmSlabRecords = 1u << 16;
   Opts.ShmSlabBytes = 64u << 20;
-  Opts.Zygotes = Zygotes;
   Opts.NetAgents = NetAgents;
   if (TracePath)
     Opts.TracePath = TracePath;
@@ -226,11 +225,11 @@ StoreAblationRow runStoreConfig(const char *Name, proc::StoreBackend B,
       Body();
     }
   };
-  // Pipeline > 1 times whole regionBatch() calls instead of sequential
+  // Pipeline > 0 times whole regionBatch() calls instead of sequential
   // regions: one lease table spans the batch, workers roll region to
   // region while the tuning side folds and delivers in order.
   auto RunSpan = [&](int Count) {
-    if (Pipeline > 1 && Pool) {
+    if (Pipeline > 0 && Pool) {
       proc::RegionOptions Ro;
       Ro.Pipeline = Pipeline;
       Rt.regionBatch(Count, N, Ro, Body);
@@ -373,13 +372,13 @@ int main(int argc, char **argv) {
   // noise swamps the signal.
   StoreAblationRow Rows[] = {
       runStoreConfig("files", proc::StoreBackend::Files, /*Fold=*/false,
-                     /*Pool=*/false, nullptr, nullptr, 0, /*Regions=*/6),
+                     /*Pool=*/false, nullptr, nullptr, /*Regions=*/6),
       runStoreConfig("shm", proc::StoreBackend::Shm, /*Fold=*/false,
-                     /*Pool=*/false, nullptr, nullptr, 0, /*Regions=*/24),
+                     /*Pool=*/false, nullptr, nullptr, /*Regions=*/24),
       runStoreConfig("shm+fold", proc::StoreBackend::Shm, /*Fold=*/true,
-                     /*Pool=*/false, nullptr, nullptr, 0, /*Regions=*/24),
+                     /*Pool=*/false, nullptr, nullptr, /*Regions=*/24),
       runStoreConfig("shm+fold+workerpool", proc::StoreBackend::Shm,
-                     /*Fold=*/true, /*Pool=*/true, nullptr, nullptr, 0,
+                     /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
                      /*Regions=*/48),
       // Tracing ablation: same configuration as the workerpool row with
       // the event ring and exporter live. The untraced row above doubles
@@ -388,7 +387,7 @@ int main(int argc, char **argv) {
       // noise band.
       runStoreConfig("shm+fold+workerpool+trace", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true,
-                     WBT_SOURCE_ROOT "/BENCH_trace.json", nullptr, 0,
+                     WBT_SOURCE_ROOT "/BENCH_trace.json", nullptr,
                      /*Regions=*/48),
       // Fault-injection ablation: same configuration as the workerpool
       // row with injection armed but a clause that never fires (ordinal
@@ -397,26 +396,26 @@ int main(int argc, char **argv) {
       // baseline; CI asserts the two agree within a symmetric noise band.
       runStoreConfig("shm+fold+workerpool+inject", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true, nullptr,
-                     "fork@n1000000:EAGAIN", 0, /*Regions=*/48),
-      // Zygote ablation: the pool's per-region worker forks replaced by
-      // parked pre-forked processes that restore the region snapshot.
-      // This is the fully-amortized configuration -- no fork(2) and no
+                     "fork@n1000000:EAGAIN", /*Regions=*/48),
+      // One-batch ablation: the workerpool configuration's sequential
+      // regions run as one regionBatch() with one region in flight, so
+      // one worker set outlives every region: no fork(2) and no
       // region-table mmap on the per-region path.
-      runStoreConfig("shm+fold+zygote", proc::StoreBackend::Shm,
+      runStoreConfig("shm+fold+batch1", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
-                     /*Zygotes=*/8, /*Regions=*/96),
-      runStoreConfig("shm+fold+zygote+trace", proc::StoreBackend::Shm,
+                     /*Regions=*/96, /*Pipeline=*/1),
+      runStoreConfig("shm+fold+batch1+trace", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true,
-                     WBT_SOURCE_ROOT "/BENCH_trace_zygote.json", nullptr,
-                     /*Zygotes=*/8, /*Regions=*/96),
-      // Pipelined-batch ablation: the zygote configuration's regions run
-      // as one regionBatch() with 4 regions in flight, so workers sample
-      // region R+1..R+4 while the tuning side folds and delivers region
-      // R. This removes the per-region drain stall — the last serial
-      // cost left after zygotes remove the forks.
-      runStoreConfig("shm+fold+zygote+batch", proc::StoreBackend::Shm,
+                     WBT_SOURCE_ROOT "/BENCH_trace_batch1.json", nullptr,
+                     /*Regions=*/96, /*Pipeline=*/1),
+      // Pipelined-batch ablation: the same batch with 4 regions in
+      // flight, so workers sample region R+1..R+3 while the tuning side
+      // folds and delivers region R. This removes the per-region drain
+      // stall — the last serial cost left once the workers outlive the
+      // regions.
+      runStoreConfig("shm+fold+batch", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
-                     /*Zygotes=*/8, /*Regions=*/96, /*Pipeline=*/4),
+                     /*Regions=*/96, /*Pipeline=*/4),
       // Distributed ablation: the batch configuration plus 4 remote
       // sampling agents connected over localhost TCP, claiming lease
       // ranges out of the same shared counter and streaming commits
@@ -424,17 +423,16 @@ int main(int argc, char **argv) {
       // protocol against the shm fast path (agents mostly add parallel
       // sampling processes); across machines the same rows would show
       // throughput past the single-host ceiling.
-      runStoreConfig("shm+fold+zygote+batch+net4", proc::StoreBackend::Shm,
+      runStoreConfig("shm+fold+batch+net4", proc::StoreBackend::Shm,
                      /*Fold=*/true, /*Pool=*/true, nullptr, nullptr,
-                     /*Zygotes=*/8, /*Regions=*/96, /*Pipeline=*/4,
-                     /*NetAgents=*/4),
+                     /*Regions=*/96, /*Pipeline=*/4, /*NetAgents=*/4),
   };
   for (const StoreAblationRow &R : Rows)
     std::printf("%-25s | %9.2fus | %10.3fms | %11.1f\n", R.Name, R.CommitUs,
                 R.AggregateMs, R.RegionsPerSec);
   std::printf("(shm should beat files on commit latency; folding should "
               "collapse the barrier-time aggregation; the worker pool "
-              "should lift region throughput further; zygotes should "
+              "should lift region throughput further; one batch should "
               "remove the last per-region forks; pipelined batches "
               "should overlap sampling with delivery; tracing and armed "
               "fault injection should cost almost nothing)\n");

@@ -94,10 +94,10 @@ constexpr SiteToken SiteTokens[] = {
     {"mkdtemp", Site::Mkdtemp}, {"mkdir", Site::Mkdir},
     {"waitpid", Site::Waitpid}, {"write", Site::Write},
     {"read", Site::Read},       {"unlink", Site::Unlink},
-    {"opendir", Site::Opendir}, {"zygote", Site::Zygote},
-    {"socket", Site::Socket},   {"connect", Site::Connect},
-    {"accept", Site::Accept},   {"send", Site::Send},
-    {"recv", Site::Recv},       {"tp", Site::TracePoint},
+    {"opendir", Site::Opendir}, {"socket", Site::Socket},
+    {"connect", Site::Connect}, {"accept", Site::Accept},
+    {"send", Site::Send},       {"recv", Site::Recv},
+    {"tp", Site::TracePoint},
 };
 
 bool parseUint(const std::string &S, uint64_t &Out) {

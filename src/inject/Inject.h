@@ -19,8 +19,8 @@
 ///   item   := 'seed=' N | clause
 ///   clause := site '@' sel ':' act
 ///   site   := fork | mmap | mkdtemp | mkdir | waitpid | write | read
-///           | unlink | opendir | zygote | socket | connect | accept
-///           | send | recv | 'tp.' point-name
+///           | unlink | opendir | socket | connect | accept | send
+///           | recv | 'tp.' point-name
 ///   sel    := 'n' N        -- eligible from the Nth call on (1-based,
 ///                             per process; children inherit counters)
 ///           | 'p' FLOAT    -- each eligible call fires with probability
@@ -88,7 +88,6 @@ enum class Site : int {
   Read,
   Unlink,
   Opendir,
-  Zygote,
   Socket,
   Connect,
   Accept,

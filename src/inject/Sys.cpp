@@ -31,14 +31,6 @@ pid_t sys::forkProcess() {
   return ::fork();
 }
 
-pid_t sys::forkZygote() {
-  if (int E = inject::onCall(inject::Site::Zygote)) {
-    errno = E;
-    return -1;
-  }
-  return ::fork();
-}
-
 void *sys::mmapShared(size_t Bytes) {
   if (int E = inject::onCall(inject::Site::Mmap)) {
     errno = E;

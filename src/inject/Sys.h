@@ -38,10 +38,6 @@ namespace sys {
 /// fork(2). Injection: returns -1 with the planned errno.
 pid_t forkProcess();
 
-/// fork(2) of a parked zygote worker — its own injection site so plans
-/// can fail nursery spawns/respawns without touching regular forks.
-pid_t forkZygote();
-
 /// mmap(2) of an anonymous MAP_SHARED region. Returns MAP_FAILED (with
 /// errno) on failure, injected or real.
 void *mmapShared(size_t Bytes);

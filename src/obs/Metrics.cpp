@@ -135,8 +135,7 @@ void writeMetricsJson(std::FILE *F, const RuntimeMetrics &M) {
                "\"fork_failures\": %llu, \"lease_reclaims\": %llu, "
                "\"retries\": %llu, \"slab_records_hw\": %llu, "
                "\"slab_bytes_hw\": %llu, \"slab_recycles\": %llu, "
-               "\"slab_epoch_hw\": %llu, \"zygote_respawns\": %llu, "
-               "\"zygote_restores\": %llu, \"remove_failures\": %llu, "
+               "\"slab_epoch_hw\": %llu, \"remove_failures\": %llu, "
                "\"net_agents\": %llu, \"net_reconnects\": %llu, "
                "\"net_remote_leases\": %llu, \"net_leases_returned\": %llu, "
                "\"net_frames\": %llu, \"net_bytes_in\": %llu, "
@@ -159,8 +158,6 @@ void writeMetricsJson(std::FILE *F, const RuntimeMetrics &M) {
                (unsigned long long)M.SlabBytesHighWater,
                (unsigned long long)M.SlabRecycles,
                (unsigned long long)M.SlabEpochHighWater,
-               (unsigned long long)M.ZygoteRespawns,
-               (unsigned long long)M.ZygoteRestores,
                (unsigned long long)M.RemoveFailures,
                (unsigned long long)M.NetAgents,
                (unsigned long long)M.NetReconnects,
@@ -282,8 +279,6 @@ void writeExpositionText(std::string &Out, const RuntimeMetrics &M,
   expCounter(Out, L, "slab_bytes_hw", M.SlabBytesHighWater);
   expCounter(Out, L, "slab_recycles", M.SlabRecycles);
   expCounter(Out, L, "slab_epoch_hw", M.SlabEpochHighWater);
-  expCounter(Out, L, "zygote_respawns", M.ZygoteRespawns);
-  expCounter(Out, L, "zygote_restores", M.ZygoteRestores);
   expCounter(Out, L, "remove_failures", M.RemoveFailures);
   expCounter(Out, L, "net_agents", M.NetAgents);
   expCounter(Out, L, "net_reconnects", M.NetReconnects);

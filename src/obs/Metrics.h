@@ -84,8 +84,6 @@ struct RuntimeMetrics {
   uint64_t SlabBytesHighWater = 0;   ///< cumulative across recycling epochs
   uint64_t SlabRecycles = 0;         ///< epoch resets of the commit slab
   uint64_t SlabEpochHighWater = 0;   ///< largest single-epoch record count
-  uint64_t ZygoteRespawns = 0; ///< nursery refills after a zygote died
-  uint64_t ZygoteRestores = 0; ///< parked zygotes woken into a region
   uint64_t RemoveFailures = 0; ///< run-dir entries removeTree failed on
   uint64_t NetAgents = 0;         ///< remote sampling agents spawned
   uint64_t NetReconnects = 0;     ///< agent connections re-accepted

@@ -168,10 +168,6 @@ const char *eventKindName(EventKind Kind) {
     return "sched-admit";
   case EventKind::SchedDefer:
     return "sched-defer";
-  case EventKind::ZygoteSpawn:
-    return "zygote-spawn";
-  case EventKind::ZygoteRestore:
-    return "zygote-restore";
   case EventKind::BatchBegin:
   case EventKind::BatchEnd:
     return "batch";
@@ -231,10 +227,6 @@ const char *eventPointName(EventKind Kind) {
     return "sched-admit";
   case EventKind::SchedDefer:
     return "sched-defer";
-  case EventKind::ZygoteSpawn:
-    return "zygote.spawn";
-  case EventKind::ZygoteRestore:
-    return "zygote.restore";
   case EventKind::BatchBegin:
     return "batch.begin";
   case EventKind::BatchEnd:

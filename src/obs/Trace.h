@@ -56,8 +56,6 @@ enum class EventKind : uint16_t {
   LeaseReclaim,  ///< tuning: A = lease index returned by a dead worker
   SchedAdmit,    ///< A = 1 for a tuning acquire, B = slot/sample index
   SchedDefer,    ///< pool full, acquire timed out; B = slot/sample index
-  ZygoteSpawn,   ///< tuning: A = zygote slot, B = fork latency ns
-  ZygoteRestore, ///< zygote: A = region ordinal, B = zygote slot
   BatchBegin,    ///< tuning: A = first region ordinal, B = region count
   BatchEnd,      ///< tuning: A = first region ordinal, B = region count
   BatchRoll,     ///< worker: A = region ordinal rolled into, B = lease index

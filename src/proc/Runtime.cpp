@@ -221,8 +221,7 @@ struct LeaseCell {
 /// follows it in memory, then LeaseCell[NumLeases] in pool mode.
 struct RegionTable {
   SharedLock ParkLock; // spare parking: guards Command + wakes spares
-  int32_t NumMains;  // samples (fork mode) or worker slots (pool mode)
-  int32_t NumSlots;  // mains + spares (pool mode: workers + respawns)
+  int32_t NumSlots;  // samples + spares (pool mode: one per worker)
   int32_t PoolMode;  // 1 for regionBatch() regions
   int32_t NumLeases; // BatchCount * BatchN (pool mode only)
   std::atomic<int32_t> LeasesReturned; // LsReturned cells awaiting re-claim
@@ -257,53 +256,6 @@ static SampleStatus statusOf(const ChildSlot &S) {
 uint64_t proc::removeTreeFailures() {
   return GRemoveFailures.load(std::memory_order_relaxed);
 }
-
-//===----------------------------------------------------------------------===//
-// Zygote board
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Zygote-board commands (ZygoteBoard::Command).
-enum ZygoteCommand : int32_t { ZbRun = 0, ZbExit = 1 };
-
-/// Sample capacity of the zygote board's embedded region table; regions
-/// with more samples fall back to forked pool workers.
-constexpr int ZygoteLeaseCap = 4096;
-
-/// Shared rendezvous of the zygote nursery. Lives in the opaque tail of
-/// the control-block mapping (SharedControl::auxRegion), so every
-/// zygote — forked once, at nursery spawn — sees it at the same address
-/// for the whole run. A RegionTable with room for
-/// ChildSlot[Zygotes + ZygoteLeaseCap] + LeaseCell[ZygoteLeaseCap]
-/// follows in memory: each zygote region points Runtime::Table at it,
-/// so the entire pool supervision machinery (sweeps, crash/timeout
-/// lease reclaim, respawns, straggler kills) runs unchanged on top.
-struct ZygoteBoard {
-  SharedLock Lock; ///< guards Generation/Command; wakes parked zygotes
-  std::atomic<uint64_t> Generation;
-  std::atomic<int32_t> Command; ///< ZygoteCommand
-  // Region snapshot of the current generation — the tuned-parameter
-  // state a woken zygote restores. Published before the Generation bump
-  // (under Lock) that wakes the nursery.
-  uint64_t Region;
-  int32_t N;
-  int32_t Kind;
-  int32_t LeaseSlot;
-  int32_t BarrierSlot;
-};
-
-RegionTable *zygoteTableOf(ZygoteBoard *B) {
-  return reinterpret_cast<RegionTable *>(B + 1);
-}
-
-size_t zygoteBoardBytes(int Zygotes) {
-  return sizeof(ZygoteBoard) + sizeof(RegionTable) +
-         (static_cast<size_t>(Zygotes) + ZygoteLeaseCap) * sizeof(ChildSlot) +
-         static_cast<size_t>(ZygoteLeaseCap) * sizeof(LeaseCell);
-}
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Region readers (aggregation-store backends)
@@ -560,14 +512,7 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   }
   TraceConfig Trace;
   Trace.Records = TraceOn ? Opts.TraceRingRecords : 0;
-  size_t AuxBytes =
-      Opts.Zygotes > 0 ? zygoteBoardBytes(static_cast<int>(Opts.Zygotes)) : 0;
-  Ctl->init(Opts.MaxPool, Opts.UseScheduler, Slab, Trace, AuxBytes);
-  if (AuxBytes) {
-    auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
-    B->Lock.init();
-    zygoteTableOf(B)->ParkLock.init();
-  }
+  Ctl->init(Opts.MaxPool, Opts.UseScheduler, Slab, Trace);
 
   Inited = true;
   IsRoot = true;
@@ -601,11 +546,6 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   RegionBody = nullptr;
   PoolWorker = false;
   WorkerIndex = -1;
-  ZygotesSpawned = false;
-  NumZygotes = 0;
-  ZygotePids.clear();
-  ZygoteRespawnsLeft = 0;
-  RegionIsZygote = false;
   NetServer.reset();
   NetAgentPids.clear();
   NetSpawned = false;
@@ -614,9 +554,9 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   AgentCommitted = false;
   // Distributed sampling: open the lease server now so its port exists
   // before any region; the agent processes themselves are forked lazily
-  // at the first worker-pool region (like the zygote nursery, so the
-  // region body is part of the forked image). A listen failure is not
-  // fatal — the run degrades to local-only sampling.
+  // at the first worker-pool region (so the region body is part of the
+  // forked image). A listen failure is not fatal — the run degrades to
+  // local-only sampling.
   if (Opts.NetAgents > 0) {
     net::LeaseServer::Callbacks CB;
     CB.Claim = [this](uint32_t Want) { return netClaimLeases(Want); };
@@ -709,11 +649,10 @@ void Runtime::finish() {
   }
   SplitChildren.clear();
   if (IsRoot) {
-    // Retire the sampling agents and the nursery before the
-    // all-descendants wait: neither holds a pool slot or a
-    // live-tuning-process count, so nothing below would ever reap them.
+    // Retire the sampling agents before the all-descendants wait: they
+    // hold no pool slot or live-tuning-process count, so nothing below
+    // would ever reap them.
     shutdownNetAgents();
-    shutdownZygotes();
     while (!Ctl->waitLiveTuningProcessesTimed(1, 100)) {
     }
     // Every descendant is gone: take the final drain (skipping cells a
@@ -829,10 +768,6 @@ bool Runtime::reapOne(int Idx, bool Block) {
   if (sys::waitPid(Pid, &St, Block ? 0 : WNOHANG) != Pid)
     return false;
   Reaped[Idx] = true;
-  // A dead zygote leaves the nursery; the next zygote region refills the
-  // slot from the respawn budget.
-  if (RegionIsZygote && Idx < NumZygotes)
-    ZygotePids[Idx] = 0;
 
   bool CleanExit = WIFEXITED(St) && WEXITSTATUS(St) == 0;
   SampleStatus Cur = statusOf(S);
@@ -912,51 +847,32 @@ bool Runtime::returnOrRetireLease(int Idx, int32_t From, bool Timed,
 /// children the region still has to wait for.
 int Runtime::sweepChildren() {
   ChildSlot *Slots = slotsOf(Table);
-  int NumSlots = Table->NumSlots;
   bool Pool = Table->PoolMode != 0;
-  for (int I = 0; I != NumSlots; ++I) {
+  int Live = 0;
+  for (int I = 0, E = Table->NumSlots; I != E; ++I) {
     // Pool mode has no parked spares: every slot with a pid is a worker
-    // (initial or respawned) and is supervised. Zygote nursery slots are
-    // the exception — they are supervised only while activated into the
-    // region; once re-parked (Command back to SpPark) they run no user
-    // code and never exit.
-    bool ZygoteSlot = RegionIsZygote && I < NumZygotes;
-    bool Counted =
-        ZygoteSlot
-            ? Slots[I].Command.load(std::memory_order_acquire) == SpActivate
-            : Pool || I < RegionN ||
-                  Slots[I].Command.load(std::memory_order_relaxed) ==
-                      SpActivate;
-    if (!Counted)
+    // (initial or respawned) and is supervised.
+    if (!Pool && I >= RegionN &&
+        Slots[I].Command.load(std::memory_order_relaxed) != SpActivate)
       continue; // parked spares are discarded at region end
     // A child whose slot and barrier share are already released is inside
     // exitChild() with only _exit(2) left (or is a kill victim): its wake
     // event fired before the zombie existed, so a WNOHANG pass can miss
     // it and stall a full event-wait timeout. Reaping it blocking is
-    // bounded — no user code runs past that point. Except zygotes: a
-    // drained zygote releases both flags and then parks instead of
-    // exiting, so a blocking wait on it would hang forever.
+    // bounded — no user code runs past that point.
     bool Exiting =
-        !ZygoteSlot &&
         Slots[I].SlotHeld.load(std::memory_order_acquire) == 0 &&
         Slots[I].BarrierLeft.load(std::memory_order_acquire) == 1;
-    if (!reapOne(I, /*Block=*/Exiting))
+    if (!reapOne(I, /*Block=*/Exiting)) {
+      Live += !Reaped[I] && Slots[I].Pid.load(std::memory_order_relaxed) > 0;
       continue;
+    }
+    // A spare activated here sits at a higher index, so this pass still
+    // visits (and counts) it.
     SampleStatus St = statusOf(Slots[I]);
     if ((St == SampleStatus::Crashed || St == SampleStatus::TimedOut) &&
         !RegionUsedSync && !Pool)
       activateSpare();
-  }
-  int Live = 0;
-  for (int I = 0; I != NumSlots; ++I) {
-    bool Counted =
-        RegionIsZygote && I < NumZygotes
-            ? Slots[I].Command.load(std::memory_order_acquire) == SpActivate
-            : Pool || I < RegionN ||
-                  Slots[I].Command.load(std::memory_order_relaxed) ==
-                      SpActivate;
-    Live += Counted && !Reaped[I] &&
-            Slots[I].Pid.load(std::memory_order_relaxed) > 0;
   }
   // Fold freshly published slab commits while we are here anyway — this
   // is what makes aggregate() O(1) per sample: by the time the last
@@ -1004,8 +920,8 @@ bool Runtime::activateSpare() {
 /// swapping its CurrentLease for a kill mark. A worker that finishes that lease
 /// meanwhile finds the mark when it clears CurrentLease (dropLeaseMark)
 /// and waits there for the SIGKILL, holding no lock. Workers waiting at
-/// the claim gate, re-parking, or running a later region's lease are
-/// not the deadline's business. Returns the number of children killed.
+/// the claim gate or running a later region's lease are not the
+/// deadline's business. Returns the number of children killed.
 int Runtime::killStragglers() {
   ChildSlot *Slots = slotsOf(Table);
   bool Pool = Table->PoolMode != 0;
@@ -1013,13 +929,8 @@ int Runtime::killStragglers() {
   int Killed = 0;
   for (int I = 0, E = Table->NumSlots; I != E; ++I) {
     ChildSlot &S = Slots[I];
-    // Parked (or already re-parked) zygotes are not stragglers: only
-    // nursery slots still activated into the region can be killed.
-    bool Counted =
-        RegionIsZygote && I < NumZygotes
-            ? S.Command.load(std::memory_order_acquire) == SpActivate
-            : Table->PoolMode || I < RegionN ||
-                  S.Command.load(std::memory_order_relaxed) == SpActivate;
+    bool Counted = Pool || I < RegionN ||
+                   S.Command.load(std::memory_order_relaxed) == SpActivate;
     pid_t Pid = S.Pid.load(std::memory_order_relaxed);
     if (!Counted || Reaped[I] || Pid <= 0)
       continue;
@@ -1082,10 +993,7 @@ void Runtime::discardSpares() {
 
 void Runtime::destroyRegionTable() {
   if (Table) {
-    // The zygote board's table lives inside the control-block mapping —
-    // the nursery parks on it between regions; drop the pointer only.
-    if (!RegionIsZygote)
-      munmap(Table, TableBytes);
+    munmap(Table, TableBytes);
     Table = nullptr;
     TableBytes = 0;
   }
@@ -1263,7 +1171,6 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
   std::memset(Mem, 0, TableBytes);
   Table = static_cast<RegionTable *>(Mem);
   Table->ParkLock.init();
-  Table->NumMains = N;
   Table->NumSlots = NumSlots;
   ChildSlot *Slots = slotsOf(Table);
   for (int I = 0; I != NumSlots; ++I) {
@@ -1424,22 +1331,6 @@ void Runtime::forkPoolWorker(int SlotIdx) {
   Ctl->recordForkLatency(ForkNs);
   traceEmit(obs::EventKind::Fork, static_cast<uint64_t>(Pid), ForkNs);
   S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
-}
-
-/// Sampling side of a pool region: claim a lease, impersonate the
-/// fork-per-sample child of its region and index (same ChildIndex, same
-/// RNG stream), run the body, repeat until the batch is drained. Shared
-/// by one-shot pool workers (workerLoop) and zygotes, which park and run
-/// it again for the next batch.
-void Runtime::runLeases() {
-  for (;;) {
-    int Idx = claimLeaseGated();
-    if (Idx < 0)
-      break;
-    runOneLease(Idx);
-  }
-  ChildIndex = -1;
-  LeaseIndex = -1;
 }
 
 /// Claims one lease without blocking: a lease returned by a dead holder
@@ -1630,8 +1521,12 @@ int Runtime::sampleAttempt() const {
       leasesOf(Table)[LeaseIndex].Attempts.load(std::memory_order_relaxed));
 }
 
+/// A pool worker's whole life: claim a lease, impersonate the
+/// fork-per-sample child of its region and index (same ChildIndex, same
+/// RNG stream), run the body, repeat until the batch is drained, exit.
 void Runtime::workerLoop() {
-  runLeases();
+  for (int Idx; (Idx = claimLeaseGated()) >= 0;)
+    runOneLease(Idx);
   exitChild();
 }
 
@@ -1690,12 +1585,15 @@ bool Runtime::settlePoolLeases() {
   }
   if (Open == 0)
     return RemoteOwned == 0;
-  // Fork one replacement worker into the next respawn slot; if its fork
-  // fails the budget still shrinks, so this loop terminates.
-  int SlotIdx = Table->NumMains + RespawnsUsed++;
+  // Fork one replacement worker into a worker slot, which is free: with
+  // nothing live, every slot's worker is reaped or was never forked. If
+  // its fork fails the budget still shrinks, so this loop terminates.
+  int SlotIdx = RespawnsUsed++ % Table->NumSlots;
   ChildSlot &S = slotsOf(Table)[SlotIdx];
+  S.Pid.store(0, std::memory_order_relaxed);
   S.Status.store(static_cast<int32_t>(SampleStatus::Running),
                  std::memory_order_relaxed);
+  S.Signal.store(0, std::memory_order_relaxed);
   S.CurrentLease.store(-1, std::memory_order_relaxed);
   S.BarrierLeft.store(0, std::memory_order_relaxed);
   Ctl->barrierAdd(BarrierSlot, +1);
@@ -1730,105 +1628,47 @@ int Runtime::markLeasesTimedOut() {
   return Retired;
 }
 
-/// Opens the child table and flat lease table of a batch and starts its
-/// workers. Eligible batches run on the zygote nursery: the board's
-/// table, which lives in the control-block mapping every zygote shares,
-/// is reset in place and the parked zygotes are woken with a generation
-/// bump — no fork, no mmap. Root tuning process only (a @split tp would
-/// need a nursery of its own), bounded by the board's lease capacity.
-/// Every other batch maps a fresh table and forks \p W workers into it;
-/// forked children enter workerLoop() inside forkPoolWorker() and never
-/// return, so past this call we are always the tuning process. Either
-/// way the table holds one slot per worker (or nursery member), one
-/// respawn slot per lease (used only when every worker died with leases
-/// still open — at most one respawn per lease), then the lease cells.
-/// \p ClaimInit seeds the pipeline's claim limit.
+/// Maps the child table and flat lease table of a batch and forks its
+/// \p W workers: one slot per worker, then the lease cells. (A respawn
+/// after every worker died reuses a reaped worker's slot.) Forked
+/// children enter workerLoop() inside forkPoolWorker() and never return,
+/// so past this call we are always the tuning process. \p ClaimInit
+/// seeds the pipeline's claim limit.
 void Runtime::openLeaseTable(uint64_t Base, int Regions, int N, int W,
                              int64_t ClaimInit) {
   int Total = Regions * N;
-  RegionIsZygote = Opts.Zygotes > 0 && IsRoot && Total <= ZygoteLeaseCap;
-  int Mains = W;
-  if (RegionIsZygote) {
-    spawnZygotes();
-    Mains = NumZygotes;
-    Table = zygoteTableOf(static_cast<ZygoteBoard *>(Ctl->auxRegion()));
-    TableBytes = 0;
-  } else {
-    TableBytes = sizeof(RegionTable) +
-                 static_cast<size_t>(Mains + Total) * sizeof(ChildSlot) +
-                 static_cast<size_t>(Total) * sizeof(LeaseCell);
-    void *Mem = sys::mmapShared(TableBytes);
-    if (Mem == MAP_FAILED)
-      sys::fatal("mmap of region child table (%zu bytes) failed: %s",
-                 TableBytes, std::strerror(errno));
-    Table = static_cast<RegionTable *>(Mem);
-    Table->ParkLock.init();
-  }
-
-  // Every field is written, so the board's persistent table resets
-  // exactly like a freshly mapped one.
-  int NumSlots = Mains + Total;
-  Table->NumMains = Mains;
-  Table->NumSlots = NumSlots;
+  TableBytes = sizeof(RegionTable) +
+               static_cast<size_t>(W) * sizeof(ChildSlot) +
+               static_cast<size_t>(Total) * sizeof(LeaseCell);
+  void *Mem = sys::mmapShared(TableBytes);
+  if (Mem == MAP_FAILED)
+    sys::fatal("mmap of region child table (%zu bytes) failed: %s",
+               TableBytes, std::strerror(errno));
+  // The anonymous mapping arrives zero-filled: every worker slot starts
+  // Running, owing a barrier leave, and every lease Pending, unattempted.
+  static_assert(static_cast<int32_t>(SampleStatus::Running) == 0 &&
+                    LsPending == 0,
+                "pool tables rely on the zero-filled mapping");
+  Table = static_cast<RegionTable *>(Mem);
+  Table->ParkLock.init();
+  Table->NumSlots = W;
   Table->PoolMode = 1;
   Table->NumLeases = Total;
-  Table->LeasesReturned.store(0, std::memory_order_relaxed);
   Table->BatchCount = Regions;
   Table->BatchN = N;
   Table->BatchBase = Base;
   Table->ClaimLimit.store(ClaimInit, std::memory_order_release);
   ChildSlot *Slots = slotsOf(Table);
-  int Workers = 0;
-  for (int I = 0; I != NumSlots; ++I) {
-    ChildSlot &S = Slots[I];
-    pid_t Pid = RegionIsZygote && I < Mains ? ZygotePids[I] : 0;
-    // Forked workers all run. Live zygotes run up to the worker cap; the
-    // rest (and dead slots the respawn budget could not refill) sit this
-    // batch out. Respawn slots start outside the barrier, like spares.
-    bool Runs = I < Mains && (!RegionIsZygote || Pid > 0) && Workers < W;
-    Workers += Runs;
-    S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
-    S.SlotHeld.store(0, std::memory_order_relaxed);
-    S.BarrierLeft.store(Runs ? 0 : 1, std::memory_order_relaxed);
-    S.InBarrier.store(0, std::memory_order_relaxed);
-    S.Status.store(static_cast<int32_t>(Runs ? SampleStatus::Running
-                                             : SampleStatus::Unused),
-                   std::memory_order_relaxed);
-    S.Signal.store(0, std::memory_order_relaxed);
-    S.Command.store(RegionIsZygote && Runs ? SpActivate : SpPark,
-                    std::memory_order_relaxed);
-    S.CurrentLease.store(-1, std::memory_order_relaxed);
-  }
-  LeaseCell *Leases = leasesOf(Table);
-  for (int I = 0; I != Total; ++I) {
-    Leases[I].State.store(LsPending, std::memory_order_relaxed);
-    Leases[I].Signal.store(0, std::memory_order_relaxed);
-    Leases[I].Attempts.store(0, std::memory_order_relaxed);
-  }
-  Reaped.assign(static_cast<size_t>(NumSlots), 0);
-  TableWorkers = Workers;
+  for (int I = 0; I != W; ++I)
+    Slots[I].CurrentLease.store(-1, std::memory_order_relaxed);
+  Reaped.assign(static_cast<size_t>(W), 0);
+  TableWorkers = W;
   LeaseSlot = Ctl->acquireLeaseSlot();
   Ctl->leaseReset(LeaseSlot);
   BarrierSlot = Ctl->acquireBarrierSlot();
-  Ctl->barrierReset(BarrierSlot, Workers);
-
-  if (!RegionIsZygote) {
-    for (int I = 0; I != W; ++I)
-      forkPoolWorker(I);
-    return;
-  }
-  // Publish the region snapshot, then wake the nursery; the board mutex
-  // orders everything above ahead of every woken zygote's reads.
-  auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
-  B->Region = RegionCounter;
-  B->N = N;
-  B->Kind = static_cast<int32_t>(RegionKind);
-  B->LeaseSlot = LeaseSlot;
-  B->BarrierSlot = BarrierSlot;
-  pthread_mutex_lock(&B->Lock.Mutex);
-  B->Generation.fetch_add(1, std::memory_order_relaxed);
-  pthread_cond_broadcast(&B->Lock.Cond);
-  pthread_mutex_unlock(&B->Lock.Mutex);
+  Ctl->barrierReset(BarrierSlot, W);
+  for (int I = 0; I != W; ++I)
+    forkPoolWorker(I);
 }
 
 /// Raises the pipeline's claim limit and wakes workers parked on it.
@@ -1848,8 +1688,7 @@ void Runtime::advanceClaimLimit(int64_t NewLimit) {
 /// at least half full, retire every published record and reset the bump
 /// allocators. Long runs then reuse the same slab instead of degrading
 /// to Exhausted file fallbacks once the cumulative commit volume passes
-/// the slab's capacity. Parked zygotes never touch the slab, so they
-/// don't block recycling.
+/// the slab's capacity.
 bool Runtime::maybeRecycleSlab() {
   if (Opts.Backend != StoreBackend::Shm || !IsRoot || RegionActive)
     return false;
@@ -1896,18 +1735,15 @@ void Runtime::regionBatch(int Regions, int N, const RegionOptions &Ro,
   // The tuning process holds a pool slot of its own, so W == maxPool
   // would deadlock the spawn loop.
   int MaxWorkers = std::max(1, static_cast<int>(Ctl->maxPool()) - 1);
-  int W = Ro.Workers > 0
-              ? Ro.Workers
-              : (Opts.WorkerPool > 0 ? static_cast<int>(Opts.WorkerPool)
-                                     : MaxWorkers);
+  int W = Ro.Workers > 0 ? Ro.Workers : MaxWorkers;
   W = static_cast<int>(
       std::max<int64_t>(1, std::min<int64_t>({W, MaxWorkers, Total})));
   // Workers may claim leases up to K regions ahead of the oldest
   // undelivered one; each completed delivery slides the window forward.
   int64_t K = std::max(1, std::min(Ro.Pipeline, Regions));
 
-  // Distributed agents fork here, lazily, for the same reason zygotes
-  // do: the region body must already be part of their image.
+  // Distributed agents fork here, lazily, at the first pool region: the
+  // region body must already be part of their image.
   if (NetServer)
     spawnNetAgents();
   openLeaseTable(Base, Regions, N, W, std::min(Total, K * N));
@@ -1946,172 +1782,10 @@ void Runtime::regionBatch(int Regions, int N, const RegionOptions &Ro,
     traceEmit(obs::EventKind::BatchEnd, Base, static_cast<uint64_t>(Regions));
 
   destroyRegionTable();
-  RegionIsZygote = false;
   Ctl->releaseBarrierSlot(BarrierSlot);
   Ctl->releaseLeaseSlot(LeaseSlot);
   LeaseSlot = -1;
   RegionBody = nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Zygote nursery
-//===----------------------------------------------------------------------===//
-
-/// Ensures the nursery matches Opts.Zygotes: the first call forks every
-/// zygote (lazily, at the first eligible region, so the region body is
-/// already part of the forked image); later calls refill slots whose
-/// zygote died, bounded by the run-wide respawn budget.
-void Runtime::spawnZygotes() {
-  if (!ZygotesSpawned) {
-    NumZygotes = static_cast<int>(Opts.Zygotes);
-    ZygotePids.assign(static_cast<size_t>(NumZygotes), 0);
-    ZygoteRespawnsLeft = Opts.ZygoteRespawnBudget;
-    ZygotesSpawned = true;
-    for (int I = 0; I != NumZygotes; ++I)
-      spawnZygoteInto(I);
-    return;
-  }
-  for (int I = 0; I != NumZygotes; ++I) {
-    if (ZygotePids[I] != 0 || ZygoteRespawnsLeft == 0)
-      continue;
-    --ZygoteRespawnsLeft;
-    if (spawnZygoteInto(I)) {
-      Ctl->noteZygoteRespawn();
-      traceEmit(obs::EventKind::Respawn, static_cast<uint64_t>(I));
-    }
-  }
-}
-
-/// Forks one zygote into nursery slot \p Slot. In the child this never
-/// returns. Returns false if the fork failed (warned; the nursery just
-/// runs short).
-bool Runtime::spawnZygoteInto(int Slot) {
-  auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
-  // Snapshot the generation in the parent, before the fork: a zygote
-  // that is slow to reach its first park must still see the wake of the
-  // region about to be opened, so its "already seen" mark cannot come
-  // from its own (possibly later) first read.
-  uint64_t StartGen = B->Generation.load(std::memory_order_relaxed);
-  std::fflush(nullptr);
-  double ForkT0 = monoNow();
-  pid_t Pid = sys::forkZygote();
-  if (Pid < 0) {
-    Ctl->noteForkFailure();
-    std::fprintf(stderr,
-                 "wbtuner: fork failed for zygote %d (tp %llu): %s; "
-                 "continuing with fewer zygotes\n",
-                 Slot, static_cast<unsigned long long>(TpId),
-                 std::strerror(errno));
-    return false;
-  }
-  if (Pid == 0)
-    zygoteLoop(Slot, StartGen); // never returns
-  uint64_t ForkNs = static_cast<uint64_t>((monoNow() - ForkT0) * 1e9);
-  Ctl->recordForkLatency(ForkNs);
-  traceEmit(obs::EventKind::ZygoteSpawn, static_cast<uint64_t>(Slot), ForkNs);
-  ZygotePids[Slot] = Pid;
-  return true;
-}
-
-/// A zygote's whole life: park on the board until a generation bump (or
-/// shutdown), restore the published region's tuned-parameter identity,
-/// run leases like any pool worker, drain, re-park. Draws are bitwise-
-/// identical to fork-mode sampling because runLeases() reseeds per lease
-/// from (seed, tp, region, index) — nothing depends on process age.
-void Runtime::zygoteLoop(int Slot, uint64_t StartGen) {
-  Mode = ModeKind::Sampling;
-  PoolWorker = true;
-  WorkerIndex = Slot;
-  SplitChildren.clear();
-  ZygotesSpawned = false;
-  ZygotePids.clear();
-  // Inherited agent connections are the server's, not ours; holding dup'd
-  // fds open would keep an agent from ever seeing a server-side EOF.
-  closeInheritedNetFds();
-  NetAgentPids.clear();
-  NetSpawned = false;
-  auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
-  Table = zygoteTableOf(B);
-  TableBytes = 0;
-  ChildSlot &Me = slotsOf(Table)[Slot];
-  uint64_t SeenGen = StartGen;
-  for (;;) {
-    pthread_mutex_lock(&B->Lock.Mutex);
-    while (B->Generation.load(std::memory_order_relaxed) == SeenGen &&
-           B->Command.load(std::memory_order_relaxed) != ZbExit)
-      pthread_cond_wait(&B->Lock.Cond, &B->Lock.Mutex);
-    int32_t Cmd = B->Command.load(std::memory_order_relaxed);
-    SeenGen = B->Generation.load(std::memory_order_relaxed);
-    pthread_mutex_unlock(&B->Lock.Mutex);
-    if (Cmd == ZbExit) {
-      std::fflush(nullptr);
-      Ctl->childEventNotify();
-      _exit(0);
-    }
-    if (Me.Command.load(std::memory_order_acquire) != SpActivate)
-      continue; // not a participant of this region; park again
-    // Restore the region snapshot the supervisor published before the
-    // generation bump (the board Lock ordered it ahead of our wake).
-    RegionCounter = B->Region;
-    RegionN = B->N;
-    RegionKind = static_cast<SamplingKind>(B->Kind);
-    LeaseSlot = B->LeaseSlot;
-    BarrierSlot = B->BarrierSlot;
-    RegionDirPath = regionDir(RegionCounter);
-    RegionActive = true;
-    // Same per-process injection identity a forked worker of this slot
-    // would have, so fault plans replay identically across modes.
-    if (inject::armed())
-      inject::tagProcess(mixSeed(TpId, (RegionCounter << 20) + 0xF00D +
-                                           static_cast<uint64_t>(Slot)));
-    // Parked zygotes hold no pool slot; take one for the region like an
-    // activated spare does.
-    acquireSlotKillable();
-    Me.SlotHeld.store(1, std::memory_order_release);
-    Ctl->noteZygoteRestore();
-    traceEmit(obs::EventKind::ZygoteRestore, RegionCounter,
-              static_cast<uint64_t>(Slot));
-    traceEmit(obs::EventKind::WorkerBegin, RegionCounter,
-              static_cast<uint64_t>(Slot));
-    runLeases();
-    traceEmit(obs::EventKind::WorkerEnd, RegionCounter,
-              static_cast<uint64_t>(Slot));
-    // Drain like exitChild(), but park instead of exiting. The exchanges
-    // keep slot/barrier reclamation exactly-once against a straggler
-    // kill racing the park; the SpPark store is what tells the
-    // supervisor this zygote is done with the region.
-    std::fflush(nullptr);
-    if (Me.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
-      Ctl->barrierLeave(BarrierSlot);
-    if (Me.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
-      Ctl->releaseSlot();
-    RegionActive = false;
-    Me.Command.store(SpPark, std::memory_order_release);
-    Ctl->childEventNotify();
-  }
-}
-
-/// Root finish(): wake every parked zygote with ZbExit and reap it. The
-/// wait is blocking but bounded — a woken zygote runs no user code
-/// between the wake and its _exit(2).
-void Runtime::shutdownZygotes() {
-  if (!ZygotesSpawned)
-    return;
-  auto *B = static_cast<ZygoteBoard *>(Ctl->auxRegion());
-  pthread_mutex_lock(&B->Lock.Mutex);
-  B->Command.store(ZbExit, std::memory_order_relaxed);
-  pthread_cond_broadcast(&B->Lock.Cond);
-  pthread_mutex_unlock(&B->Lock.Mutex);
-  for (int I = 0; I != NumZygotes; ++I) {
-    if (ZygotePids[I] <= 0)
-      continue;
-    int St = 0;
-    sys::waitPid(ZygotePids[I], &St, 0);
-    ZygotePids[I] = 0;
-  }
-  ZygotesSpawned = false;
-  NumZygotes = 0;
-  ZygotePids.clear();
 }
 
 //===----------------------------------------------------------------------===//
@@ -2136,11 +1810,11 @@ void Runtime::closeInheritedNetFds() {
   }
 }
 
-/// Forks the agent processes, once, at the first net-eligible region —
-/// the same lazy-spawn idea as the zygote nursery, and with the same
-/// constraint: every later region must run the same body closure the
-/// agents were forked with. Agents take no pool slot (they stand in for
-/// remote machines, which would not share this host's pool either).
+/// Forks the agent processes, once, at the first pool region, so the
+/// region body is part of their image: every later region must run the
+/// same body closure the agents were forked with. Agents take no pool
+/// slot (they stand in for remote machines, which would not share this
+/// host's pool either).
 void Runtime::spawnNetAgents() {
   if (NetSpawned || !NetServer)
     return;
@@ -2315,12 +1989,9 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   PoolWorker = false;
   WorkerIndex = -1;
   SplitChildren.clear();
-  // The region tables and the nursery belong to the tuning process.
+  // The region tables belong to the tuning process.
   Table = nullptr;
   TableBytes = 0;
-  ZygotesSpawned = false;
-  NumZygotes = 0;
-  ZygotePids.clear();
   closeInheritedNetFds();
   NetAgentPids.clear();
   if (inject::armed())
@@ -2834,10 +2505,7 @@ bool Runtime::split() {
   // aggregation callback) is not ours to supervise: drop our view of its
   // child table and barrier.
   if (Table) {
-    // A zygote-board table is part of the control-block mapping (see
-    // destroyRegionTable); only a per-region table is ours to unmap.
-    if (!RegionIsZygote)
-      munmap(Table, TableBytes);
+    munmap(Table, TableBytes);
     Table = nullptr;
     TableBytes = 0;
   }
@@ -2862,14 +2530,8 @@ bool Runtime::split() {
   RegionBody = nullptr;
   PoolWorker = false;
   WorkerIndex = -1;
-  // The nursery belongs to the root; a split tp forks plain workers.
-  ZygotesSpawned = false;
-  NumZygotes = 0;
-  ZygotePids.clear();
-  ZygoteRespawnsLeft = 0;
-  RegionIsZygote = false;
-  // So do the lease server and its agents: drop the inherited fds
-  // without running any lease-state callbacks.
+  // The lease server and its agents belong to the root: drop the
+  // inherited fds without running any lease-state callbacks.
   closeInheritedNetFds();
   NetAgentPids.clear();
   NetSpawned = false;
@@ -2916,8 +2578,6 @@ obs::RuntimeMetrics Runtime::metrics() const {
   M.SlabBytesHighWater = Ctl->slabBytesHighWater();
   M.SlabRecycles = Ctl->slabRecyclesTotal();
   M.SlabEpochHighWater = Ctl->slabEpochRecordsHighWater();
-  M.ZygoteRespawns = Ctl->zygoteRespawnsTotal();
-  M.ZygoteRestores = Ctl->zygoteRestoresTotal();
   M.RemoveFailures = removeTreeFailures();
   M.TraceEvents = Ctl->traceEmittedTotal();
   M.TraceDrops = Ctl->traceDropsTotal();

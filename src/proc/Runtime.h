@@ -172,11 +172,6 @@ struct RuntimeOptions {
   /// Payloads larger than this bypass the slab and go to a file even
   /// under the Shm backend (keeps the arena for small hot commits).
   size_t ShmRecordThreshold = 16u << 10;
-  /// Workers forked per regionBatch() / samplingRegion() (worker-pool
-  /// mode); the actual count is min(Regions * N, WorkerPool,
-  /// MaxPool - 1). 0 = MaxPool - 1.
-  /// Overridable per region via RegionOptions::Workers.
-  unsigned WorkerPool = 0;
   /// Chrome trace-event JSON output path. Non-empty enables event
   /// tracing: every process writes fixed-size records into a shared
   /// lock-free ring, the tuning process drains them during supervisor
@@ -195,26 +190,6 @@ struct RuntimeOptions {
   /// injection stays disarmed (every hook one predicted branch) when
   /// both are unset. A malformed plan aborts init loudly.
   std::string InjectPlan;
-  /// Pre-forked parked sampling processes ("zygotes") for worker-pool
-  /// regions: forked once, at the first eligible region, then
-  /// woken per region through a shared board — restoring the region's
-  /// tuned-parameter identity (ordinal, sample count, kind, RNG
-  /// streams) from shared memory instead of being re-forked. Draws stay
-  /// bitwise-identical to fork-mode sampling because the per-lease RNG
-  /// reseed depends only on (seed, tp, region, index). Root tuning
-  /// process only; batches with more leases than the board's capacity
-  /// fall back to forked workers. Constraint: the nursery
-  /// snapshots the process image — including the first region's body
-  /// closure — at spawn, so every zygote-eligible region of a run must
-  /// use one body whose behavior derives from runtime queries
-  /// (sample(), sampleIndex(), regionOrdinal()), not from freshly
-  /// captured per-region state. 0 disables.
-  unsigned Zygotes = 0;
-  /// Run-wide budget of replacement zygotes forked when the supervisor
-  /// finds nursery members dead (fault injection, straggler kills).
-  /// Dead slots past the budget shrink the nursery; a fully dead
-  /// nursery degrades to plain forked respawn workers.
-  unsigned ZygoteRespawnBudget = 8;
   /// Remote sampling agents (distributed lease protocol, src/net): the
   /// root tuning process opens a TCP lease server and forks this many
   /// agent processes — stand-ins for agents on other hosts — at the
@@ -243,8 +218,9 @@ struct RegionOptions {
   double TimeoutSec = -1.0;
   /// Retry spares for this region; < 0 inherits RuntimeOptions::MaxRetries.
   int MaxRetries = -1;
-  /// Workers for a regionBatch() / samplingRegion(); <= 0 inherits
-  /// RuntimeOptions::WorkerPool. Ignored by fork-per-sample sampling().
+  /// Workers forked per regionBatch() / samplingRegion(); the actual
+  /// count is min(Regions * N, Workers, MaxPool - 1), and <= 0 means
+  /// MaxPool - 1. Ignored by fork-per-sample sampling().
   int Workers = 0;
   /// Sampling regions kept in flight by regionBatch(): workers may claim
   /// leases of regions R .. R+Pipeline-1 while the tuning process folds
@@ -415,21 +391,23 @@ public:
   }
 
   /// Pipelined batch of \p Regions identical sampling regions of \p N
-  /// samples each, every one running \p Body: one worker set (or the
-  /// zygote nursery, woken once for the whole batch) claims leases from
-  /// a single counter spanning all Regions * N samples, rolling from
-  /// region R's last lease straight into region R+1 without re-parking,
-  /// while the tuning process folds and delivers finished regions behind
-  /// them. Up to RegionOptions::Pipeline regions run ahead of the
-  /// delivery point; results are delivered in submission order, and \p
-  /// Body observes exactly what Regions sequential samplingRegion()
-  /// calls would show it — same region ordinals, same sample indices,
-  /// bitwise-identical draws via the per-lease RNG reseed. \p Body must
-  /// satisfy the zygote-body constraint (derive behavior from runtime
-  /// queries, not captured per-region state) whenever it branches per
-  /// region. Every worker-pool region runs here: samplingRegion() is the
-  /// one-region case, and Pipeline <= 1 lets workers claim one region's
-  /// leases at a time. See DESIGN.md, "Pipelined region batches".
+  /// samples each, every one running \p Body: the batch maps one lease
+  /// table and forks one worker set, whose workers claim leases from a
+  /// single counter spanning all Regions * N samples, rolling from
+  /// region R's last lease straight into region R+1, while the tuning
+  /// process folds and delivers finished regions behind them. Up to
+  /// RegionOptions::Pipeline regions run ahead of the delivery point;
+  /// results are delivered in submission order, and \p Body observes
+  /// exactly what Regions sequential samplingRegion() calls would show it
+  /// — same region ordinals, same sample indices, bitwise-identical draws
+  /// via the per-lease RNG reseed. Workers live for one batch: they
+  /// inherit the program state reached when it opened, so a caller that
+  /// wants workers to outlive a region passes its regions to one
+  /// regionBatch() (Pipeline = 1 keeps one region in flight), and a body
+  /// that branches per region derives that from regionOrdinal(), not
+  /// from captured per-region state. Every worker-pool region runs here:
+  /// samplingRegion() is the one-region case. See DESIGN.md, "Pipelined
+  /// region batches".
   void regionBatch(int Regions, int N, const RegionOptions &Ro,
                    const std::function<void()> &Body);
 
@@ -507,8 +485,9 @@ public:
   /// holder's in the cell's modification order).
   int sampleAttempt() const;
   /// Ordinal of the current (most recently opened) sampling region.
-  /// Zygote-mode bodies branch on this instead of capturing per-region
-  /// state (the nursery's body closure is frozen at spawn).
+  /// A regionBatch() body branches on this instead of capturing
+  /// per-region state: its workers run one closure for every region of
+  /// the batch.
   uint64_t regionOrdinal() const { return RegionCounter; }
   uint64_t tuningProcessId() const { return TpId; }
   /// Deterministic per-process random stream.
@@ -630,7 +609,8 @@ private:
   /// or discarded (_exits, never returns).
   void parkAsSpare(int Idx);
   /// Takes a sampling slot in a process the supervisor may SIGKILL at the
-  /// region deadline while it waits (an activated spare or zygote).
+  /// region deadline while it waits (an activated spare or a gated pool
+  /// worker).
   void acquireSlotKillable();
 
   // Supervisor internals (tuning side of a live region).
@@ -652,7 +632,6 @@ private:
 
   // Worker-pool internals (regionBatch).
   [[noreturn]] void workerLoop();
-  void runLeases();
   void runOneLease(int Idx);
   /// \p Worker: the claimant is this pool worker, which publishes the
   /// claim in its CurrentLease; false for the lease server's remote
@@ -670,9 +649,8 @@ private:
   /// Retires the delivering window's unclaimed leases as TimedOut.
   /// Returns how many it retired.
   int markLeasesTimedOut();
-  /// Opens the flat lease table of \p Regions regions of \p N samples,
-  /// starting at ordinal \p Base, on the zygote board (waking the
-  /// nursery) or on a freshly mapped table (forking \p W workers).
+  /// Maps the flat lease table of \p Regions regions of \p N samples,
+  /// starting at ordinal \p Base, and forks \p W workers into it.
   void openLeaseTable(uint64_t Base, int Regions, int N, int W,
                       int64_t ClaimInit);
   /// Raises the pipeline gate to \p NewLimit and wakes gate-blocked
@@ -683,13 +661,6 @@ private:
   /// current epoch has consumed at least half the slab. Returns true if
   /// it recycled.
   bool maybeRecycleSlab();
-
-  // Zygote nursery (pre-forked parked workers; root tuning side except
-  // zygoteLoop, which is the zygote's whole life).
-  [[noreturn]] void zygoteLoop(int Slot, uint64_t StartGen);
-  void spawnZygotes();
-  bool spawnZygoteInto(int Slot);
-  void shutdownZygotes();
 
   // Distributed sampling agents (src/net; root tuning side except
   // netAgentLoop, which is an agent's whole life).
@@ -747,18 +718,12 @@ private:
   int WorkerIndex = -1;             // its slot in the region table
   int LeaseIndex = -1; // claimed cell of the batch's flat lease table;
                        // ChildIndex is the within-region sample index
-  // Local workers the lease table opened with. It fills the padding
-  // before ZygotePids so the other members keep their relative layout:
-  // shifting the members below LeaseSlot by 8 bytes against those above
-  // cost kmeans-batch ~8% of its samples/s (cause not understood).
+  // Local workers the lease table opened with (remote grants divide the
+  // remaining work by them plus the agents). kmeans-batch is sensitive
+  // to where members sit: one int declared right after LeaseSlot, which
+  // moved every later member by 8 bytes against the earlier ones, cost
+  // it ~8% of its samples/s (cause not understood).
   int TableWorkers = 0;
-
-  // Zygote nursery state (root tuning side).
-  bool ZygotesSpawned = false;
-  int NumZygotes = 0;            // nursery slots (== Opts.Zygotes)
-  std::vector<pid_t> ZygotePids; // per nursery slot; 0 = dead
-  unsigned ZygoteRespawnsLeft = 0;
-  bool RegionIsZygote = false; // current region runs on the board
 
   // Distributed-agent state. The server lives in the root tuning
   // process only; NetAgentMode marks a forked agent process, whose

@@ -150,8 +150,6 @@ struct SharedLayout {
   obs::LatencyHistogram ForkLatency;
   obs::LatencyHistogram CommitLatency;
   obs::LatencyHistogram RegionLatency;
-  std::atomic<uint64_t> ZygoteRespawns;
-  std::atomic<uint64_t> ZygoteRestores;
 
   // Tuning-progress score cells: last as a plain bit-pattern store,
   // min/max maintained by CAS loops over the bit patterns (decoded for
@@ -175,11 +173,9 @@ struct SharedLayout {
   std::atomic<uint64_t> SlabEpochRecHW; // largest single-epoch record count
 
   uint64_t TraceByteOff;
-  uint64_t AuxByteOff; // opaque init() tail (zygote board); 0 = none
 
   // SlabRecord[SlabRecCap], then uint8_t Arena[SlabArenaCap], then the
-  // optional TraceRingLayout, then the optional AuxBytes tail follow the
-  // struct in memory.
+  // optional TraceRingLayout follow the struct in memory.
 };
 
 } // namespace proc
@@ -209,17 +205,14 @@ SharedControl::~SharedControl() {
 }
 
 void SharedControl::init(unsigned MaxPool, bool UseScheduler,
-                         const SlabConfig &Slab, const TraceConfig &Trace,
-                         size_t AuxBytes) {
+                         const SlabConfig &Slab, const TraceConfig &Trace) {
   assert(!Layout && "SharedControl initialized twice");
   if (MaxPool == 0)
     MaxPool = std::max(2u, std::thread::hardware_concurrency());
   uint64_t RecByteOff = alignUp8(sizeof(SharedLayout));
   uint64_t ArenaByteOff = RecByteOff + Slab.Records * sizeof(SlabRecord);
   uint64_t TraceByteOff = ArenaByteOff + alignUp8(Slab.ArenaBytes);
-  uint64_t AuxByteOff =
-      alignUp8(TraceByteOff + obs::traceRingBytes(Trace.Records));
-  MappedBytes = AuxByteOff + AuxBytes;
+  MappedBytes = TraceByteOff + obs::traceRingBytes(Trace.Records);
   // assert() compiles out under NDEBUG; a failed mapping here must be
   // loud in every build type — nothing downstream can run without it.
   // The anonymous mapping arrives zero-filled, which every field below
@@ -237,8 +230,6 @@ void SharedControl::init(unsigned MaxPool, bool UseScheduler,
     Layout->TraceByteOff = TraceByteOff;
     obs::traceRingInit(traceRing(Layout), Trace.Records);
   }
-  if (AuxBytes)
-    Layout->AuxByteOff = AuxByteOff;
 
   Layout->PoolLock.init();
   Layout->FreeSlots = static_cast<int>(MaxPool);
@@ -850,34 +841,12 @@ void SharedControl::noteRetry() {
   Layout->Retries.fetch_add(1, std::memory_order_relaxed);
 }
 
-void SharedControl::noteZygoteRespawn() {
-  Layout->ZygoteRespawns.fetch_add(1, std::memory_order_relaxed);
-}
-
-void SharedControl::noteZygoteRestore() {
-  Layout->ZygoteRestores.fetch_add(1, std::memory_order_relaxed);
-}
-
 uint64_t SharedControl::regionsResolvedTotal() const {
   return Layout->RegionsResolved.load(std::memory_order_relaxed);
 }
 
 uint64_t SharedControl::retriesTotal() const {
   return Layout->Retries.load(std::memory_order_relaxed);
-}
-
-uint64_t SharedControl::zygoteRespawnsTotal() const {
-  return Layout->ZygoteRespawns.load(std::memory_order_relaxed);
-}
-
-uint64_t SharedControl::zygoteRestoresTotal() const {
-  return Layout->ZygoteRestores.load(std::memory_order_relaxed);
-}
-
-void *SharedControl::auxRegion() const {
-  if (!Layout || !Layout->AuxByteOff)
-    return nullptr;
-  return reinterpret_cast<uint8_t *>(Layout) + Layout->AuxByteOff;
 }
 
 static obs::HistogramSnapshot snapshotOf(const obs::LatencyHistogram &H) {

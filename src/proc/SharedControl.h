@@ -116,17 +116,11 @@ public:
   /// Maps and initializes the region. \p MaxPool is MAX_POOL_SIZE;
   /// \p UseScheduler false disables pool gating (Fig. 10 ablation);
   /// \p Slab sizes the shared commit slab; \p Trace sizes the shared
-  /// trace-event ring (disabled by default); \p AuxBytes reserves an
-  /// opaque zero-initialized tail region (the zygote board — its layout
-  /// belongs to the Runtime, which only needs it inside the one mapping
-  /// every pre-forked process inherits).
+  /// trace-event ring (disabled by default).
   void init(unsigned MaxPool, bool UseScheduler,
             const SlabConfig &Slab = SlabConfig(),
-            const TraceConfig &Trace = TraceConfig(), size_t AuxBytes = 0);
+            const TraceConfig &Trace = TraceConfig());
   bool initialized() const { return Layout != nullptr; }
-
-  /// The opaque AuxBytes tail reserved at init(), or null when none was.
-  void *auxRegion() const;
 
   //===--------------------------------------------------------------------===
   // Process pool (paper Alg. 1 across real processes).
@@ -353,12 +347,8 @@ public:
   void recordRegionLatency(uint64_t Ns);
   void noteRegionResolved();
   void noteRetry();
-  void noteZygoteRespawn();
-  void noteZygoteRestore();
   uint64_t regionsResolvedTotal() const;
   uint64_t retriesTotal() const;
-  uint64_t zygoteRespawnsTotal() const;
-  uint64_t zygoteRestoresTotal() const;
   obs::HistogramSnapshot forkLatencySnapshot() const;
   obs::HistogramSnapshot commitLatencySnapshot() const;
   obs::HistogramSnapshot regionLatencySnapshot() const;

@@ -702,45 +702,6 @@ TEST(InjectRuntime, RemoveTreeCountsFailures) {
 }
 
 //===----------------------------------------------------------------------===//
-// Zygote spawn failures
-//===----------------------------------------------------------------------===//
-
-/// The zygote site fails nursery spawns without touching regular forks:
-/// a nursery that comes up short still drains the region through the
-/// zygotes that did spawn.
-int scenarioZygoteSpawnFailureDegrades() {
-  Runtime &Rt = Runtime::get();
-  RuntimeOptions Opts;
-  Opts.MaxPool = 8;
-  Opts.Seed = 24;
-  Opts.Backend = StoreBackend::Shm;
-  Opts.Zygotes = 2;
-  Opts.InjectPlan = "zygote@n1:EAGAIN";
-  Rt.init(Opts);
-
-  const int N = 6;
-  int Committed = -1;
-  Rt.samplingRegion(N, [&] {
-    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-    if (Rt.isSampling())
-      Rt.aggregate("x", encodeDouble(X), nullptr);
-    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
-      Committed = V.countStatus(SampleStatus::Committed);
-    });
-  });
-  CHECK_OR(Committed == N, 2); // the surviving zygote drained everything
-  CHECK_OR(Rt.forkFailures() == 1, 3);
-  obs::RuntimeMetrics M = Rt.metrics();
-  CHECK_OR(M.ZygoteRestores >= 1, 4);
-  Rt.finish();
-  return 0;
-}
-
-TEST(InjectRuntime, ZygoteSpawnFailureDegrades) {
-  EXPECT_EQ(runScenario(scenarioZygoteSpawnFailureDegrades), 0);
-}
-
-//===----------------------------------------------------------------------===//
 // Satellite bug #2: init failures must be loud in every build type.
 // These were assert()s before — under NDEBUG (the CI Release build)
 // they compiled out and init continued with a garbage run directory.

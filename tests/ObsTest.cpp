@@ -325,10 +325,10 @@ RuntimeMetrics denseMetrics() {
         &M.Fallbacks[1], &M.Fallbacks[2], &M.CrashedSamples,
         &M.TimedOutSamples, &M.ForkFailures, &M.LeaseReclaims, &M.Retries,
         &M.SlabRecordsHighWater, &M.SlabBytesHighWater, &M.SlabRecycles,
-        &M.SlabEpochHighWater, &M.ZygoteRespawns, &M.ZygoteRestores,
-        &M.RemoveFailures, &M.NetAgents, &M.NetReconnects,
-        &M.NetRemoteLeases, &M.NetLeasesReturned, &M.NetFrames, &M.NetBytesIn,
-        &M.NetBytesOut, &M.NetRecvHello, &M.NetRecvClaimReq,
+        &M.SlabEpochHighWater, &M.RemoveFailures, &M.NetAgents,
+        &M.NetReconnects, &M.NetRemoteLeases, &M.NetLeasesReturned,
+        &M.NetFrames, &M.NetBytesIn, &M.NetBytesOut, &M.NetRecvHello,
+        &M.NetRecvClaimReq,
         &M.NetRecvCommitBatch, &M.NetRecvTrace, &M.TraceEvents, &M.TraceDrops,
         &M.ScoresNoted})
     *F = V++;
@@ -354,13 +354,12 @@ const char *const MetricsJsonKeys[] = {
     "fallback_oversized", "fallback_long_name", "fallback_exhausted",
     "crashed", "timed_out", "fork_failures", "lease_reclaims", "retries",
     "slab_records_hw", "slab_bytes_hw", "slab_recycles", "slab_epoch_hw",
-    "zygote_respawns", "zygote_restores", "remove_failures", "net_agents",
-    "net_reconnects", "net_remote_leases", "net_leases_returned",
-    "net_frames", "net_bytes_in", "net_bytes_out", "net_recv_hello",
-    "net_recv_claim_req", "net_recv_commit_batch", "net_recv_trace",
-    "trace_events", "trace_drops", "scores_noted", "score_last", "score_min",
-    "score_max", "fork_p50_us", "fork_mean_us", "commit_p50_us",
-    "commit_mean_us", "region_p50_us", "region_mean_us",
+    "remove_failures", "net_agents", "net_reconnects", "net_remote_leases",
+    "net_leases_returned", "net_frames", "net_bytes_in", "net_bytes_out",
+    "net_recv_hello", "net_recv_claim_req", "net_recv_commit_batch",
+    "net_recv_trace", "trace_events", "trace_drops", "scores_noted",
+    "score_last", "score_min", "score_max", "fork_p50_us", "fork_mean_us",
+    "commit_p50_us", "commit_mean_us", "region_p50_us", "region_mean_us",
     "fork_latency_buckets", "commit_latency_buckets",
     "region_latency_buckets"};
 
@@ -424,10 +423,9 @@ TEST(MetricsExposition, CoversEveryScalarAndHistogram) {
         "file_fallbacks", "fallback_oversized", "fallback_long_name",
         "fallback_exhausted", "crashed", "timed_out", "fork_failures",
         "lease_reclaims", "retries", "slab_records_hw", "slab_bytes_hw",
-        "slab_recycles", "slab_epoch_hw", "zygote_respawns",
-        "zygote_restores", "remove_failures", "net_agents", "net_reconnects",
-        "net_remote_leases", "net_leases_returned", "net_frames",
-        "net_bytes_in", "net_bytes_out", "net_recv_hello",
+        "slab_recycles", "slab_epoch_hw", "remove_failures", "net_agents",
+        "net_reconnects", "net_remote_leases", "net_leases_returned",
+        "net_frames", "net_bytes_in", "net_bytes_out", "net_recv_hello",
         "net_recv_claim_req", "net_recv_commit_batch", "net_recv_trace",
         "trace_events", "trace_drops", "scores_noted", "score_last",
         "score_min", "score_max"}) {

@@ -10,7 +10,11 @@
 //   - stratified coverage holds even when N > workers,
 //   - check() prunes one lease and the worker survives,
 //   - a SIGKILLed worker's lease is returned and re-run to completion,
-//   - the region deadline retires stuck leases as TimedOut,
+//     also when the workers outlive the region inside one regionBatch(),
+//   - the regions of one regionBatch() draw bitwise like fork-per-sample
+//     regions, with one region in flight and with two,
+//   - the region deadline retires stuck leases as TimedOut, in a batch
+//     only inside its own region,
 //   - a failed worker fork degrades to fewer workers, not fewer samples.
 //
 // Like ProcTest.cpp, every scenario runs in a forked child because the
@@ -264,21 +268,19 @@ int scenarioPoolKilledWorkerLeaseRerun() {
 }
 
 //===----------------------------------------------------------------------===//
-// Zygote nursery
+// Workers that outlive a region: one regionBatch() over several regions
 //===----------------------------------------------------------------------===//
 
-/// Runs several regions with one shared body (the zygote contract: the
-/// nursery snapshots the body at spawn) and concatenates each region's
-/// committed draws. Mode 0 = fork-per-sample, 1 = forked worker pool,
-/// 2 = zygotes, 3 = zygote-backed pipelined batch (regionBatch).
+/// Runs several regions with one shared body and concatenates each
+/// region's committed draws. Mode 0 = fork-per-sample regions, 1 = one
+/// regionBatch() with one region in flight (Pipeline 1), 2 = one
+/// regionBatch() with two.
 int collectManyRegionValues(int Mode, std::vector<double> &Out) {
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
   Opts.Seed = 99;
   Opts.Backend = StoreBackend::Shm;
-  if (Mode >= 2)
-    Opts.Zygotes = 3;
   Rt.init(Opts);
 
   const int N = 12, Regions = 3;
@@ -295,82 +297,64 @@ int collectManyRegionValues(int Mode, std::vector<double> &Out) {
       Out.insert(Out.end(), Got.begin(), Got.end());
     });
   };
-  RegionOptions Ro;
-  Ro.Kind = static_cast<SamplingKind>(GPoolKind);
-  Ro.Workers = 3; // N > workers: every worker runs several leases
-  if (Mode == 3) {
-    Ro.Pipeline = 2;
-    Rt.regionBatch(Regions, N, Ro, Body);
-  } else {
+  if (Mode == 0) {
     for (int R = 0; R != Regions; ++R) {
-      if (Mode == 0) {
-        Rt.sampling(N, static_cast<SamplingKind>(GPoolKind));
-        Body();
-      } else {
-        Rt.samplingRegion(N, Ro, Body);
-      }
+      Rt.sampling(N, static_cast<SamplingKind>(GPoolKind));
+      Body();
     }
+  } else {
+    RegionOptions Ro;
+    Ro.Kind = static_cast<SamplingKind>(GPoolKind);
+    Ro.Workers = 3; // N > workers: every worker runs several leases
+    Ro.Pipeline = Mode;
+    Rt.regionBatch(Regions, N, Ro, Body);
   }
   CHECK_OR(Out.size() == static_cast<size_t>(N * Regions), 5);
   for (double V : Out)
     CHECK_OR(V >= 0.0, 2);
-  if (Mode >= 2) {
-    // The regions really ran on restored zygotes, not fresh forks. A
-    // batch wakes the nursery once for all of its regions, so it sees
-    // one restore per zygote instead of one per region per zygote.
-    obs::RuntimeMetrics M = Rt.metrics();
-    CHECK_OR(M.ZygoteRestores >= Regions, 3);
-    CHECK_OR(M.ZygoteRespawns == 0, 4);
-  }
   Rt.finish();
   return 0;
 }
 
-int scenarioZygoteMatchesForkSampling() {
-  // The acceptance criterion: draws of a zygote-backed region are
-  // bitwise-identical to fork-per-sample draws, across several regions
-  // (so restored-state regions, not just the nursery's first, match).
-  std::vector<double> ForkVals, ZygoteVals;
-  CHECK_OR(collectManyRegionValues(0, ForkVals) == 0, 3);
-  CHECK_OR(collectManyRegionValues(2, ZygoteVals) == 0, 4);
-  CHECK_OR(ForkVals.size() == ZygoteVals.size(), 5);
-  for (size_t I = 0; I != ForkVals.size(); ++I)
-    CHECK_OR(ZygoteVals[I] == ForkVals[I], 10 + static_cast<int>(I));
-  return 0;
-}
-
-int scenarioBatchZygoteMatchesForkSampling() {
-  // A pipelined batch riding the zygote nursery (the fastest region
-  // entry path) still produces draws bitwise-identical to plain
-  // fork-per-sample regions of the same ordinals.
+/// Draws of the regions of one regionBatch() with \p Pipeline regions in
+/// flight are bitwise-identical to fork-per-sample regions of the same
+/// ordinals, across several regions (so the regions a worker rolls into,
+/// not just the first, match).
+int batchMatchesForkSampling(int Pipeline) {
   std::vector<double> ForkVals, BatchVals;
   CHECK_OR(collectManyRegionValues(0, ForkVals) == 0, 3);
-  CHECK_OR(collectManyRegionValues(3, BatchVals) == 0, 4);
+  CHECK_OR(collectManyRegionValues(Pipeline, BatchVals) == 0, 4);
   CHECK_OR(ForkVals.size() == BatchVals.size(), 5);
   for (size_t I = 0; I != ForkVals.size(); ++I)
     CHECK_OR(BatchVals[I] == ForkVals[I], 10 + static_cast<int>(I));
   return 0;
 }
 
-int scenarioZygoteKilledRespawns() {
-  // Whichever zygote first claims lease 0 SIGKILLs itself mid-lease in
-  // region 1 (keyed on the lease, not the worker slot: on one core a
-  // zygote can drain every lease before its sibling wakes, so a
-  // worker-keyed kill intermittently never fires). The lease is re-run
-  // off the respawn budget, and region 2 runs on a refilled nursery —
-  // both regions commit every sample.
+int scenarioBatch1MatchesForkSampling() { return batchMatchesForkSampling(1); }
+
+int scenarioBatchMatchesForkSampling() { return batchMatchesForkSampling(2); }
+
+int scenarioBatch1KilledWorkerLeaseRerun() {
+  // A two-region batch with one region in flight: whichever worker first
+  // claims lease 0 of region 1 SIGKILLs itself mid-lease (keyed on the
+  // lease, not the worker slot: on one core a worker can drain every
+  // lease before its sibling runs, so a worker-keyed kill could never
+  // fire). The lease is re-run by the survivor, which then runs region 2
+  // on its own, so both regions commit every sample.
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
   Opts.MaxPool = 8;
   Opts.Seed = 45;
   Opts.Backend = StoreBackend::Shm;
-  Opts.Zygotes = 2;
   Rt.init(Opts);
   int FreeBefore = Rt.freeSlots();
 
   const int N = 8;
-  int Committed = -1;
-  auto Body = [&] {
+  std::vector<int> Committed;
+  RegionOptions Ro;
+  Ro.Workers = 2;
+  Ro.Pipeline = 1;
+  Rt.regionBatch(2, N, Ro, [&] {
     double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
     if (Rt.regionOrdinal() == 1 && Rt.sampleIndex() == 0 &&
         Rt.sampleAttempt() == 1)
@@ -378,60 +362,16 @@ int scenarioZygoteKilledRespawns() {
     if (Rt.isSampling())
       Rt.aggregate("x", encodeDouble(X), nullptr);
     Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
-      Committed = V.countStatus(SampleStatus::Committed);
+      Committed.push_back(V.countStatus(SampleStatus::Committed));
     });
-  };
-  for (int R = 0; R != 2; ++R) {
-    RegionOptions Ro;
-    Ro.Workers = 2;
-    Rt.samplingRegion(N, Ro, Body);
-    CHECK_OR(Committed == N, 2 + R);
-  }
+  });
+  CHECK_OR(Committed.size() == 2, 2);
+  CHECK_OR(Committed[0] == N, 3); // the killed lease was re-run
+  CHECK_OR(Committed[1] == N, 4);
   obs::RuntimeMetrics M = Rt.metrics();
-  CHECK_OR(M.ZygoteRespawns >= 1, 10); // the nursery was refilled
-  CHECK_OR(M.CrashedSamples >= 1, 11);
+  CHECK_OR(M.CrashedSamples == 1, 11);
   CHECK_OR(M.LeaseReclaims >= 1, 12);
-  CHECK_OR(M.ZygoteRestores >= 3, 13); // 2 in region 1, >=1 in region 2
-  CHECK_OR(Rt.freeSlots() == FreeBefore, 14); // dead zygote's slot reclaimed
-  Rt.finish();
-  return 0;
-}
-
-int scenarioZygoteTimeoutAndRecovery() {
-  // A stuck lease in a zygote region: the straggling zygote is killed,
-  // the lease retires as TimedOut, and the next region still works on
-  // what is left of the nursery.
-  Runtime &Rt = Runtime::get();
-  RuntimeOptions Opts;
-  Opts.MaxPool = 8;
-  Opts.Seed = 46;
-  Opts.Backend = StoreBackend::Shm;
-  Opts.Zygotes = 2;
-  Rt.init(Opts);
-
-  const int N = 6;
-  int Committed = -1, TimedOut = -1;
-  auto Body = [&] {
-    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-    if (Rt.isSampling() && Rt.regionOrdinal() == 1 && Rt.sampleIndex() == 2)
-      sleep(30); // far past the budget; SIGKILL arrives first
-    if (Rt.isSampling())
-      Rt.aggregate("x", encodeDouble(X), nullptr);
-    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
-      Committed = V.countStatus(SampleStatus::Committed);
-      TimedOut = V.countStatus(SampleStatus::TimedOut);
-    });
-  };
-  RegionOptions Ro;
-  Ro.Workers = 2;
-  Ro.TimeoutSec = 0.5;
-  Rt.samplingRegion(N, Ro, Body);
-  CHECK_OR(Committed == N - 1, 2);
-  CHECK_OR(TimedOut == 1, 3);
-  CHECK_OR(Rt.timedOutSamples() >= 1, 4);
-  Rt.samplingRegion(N, Ro, Body); // ordinal 2: nobody sleeps
-  CHECK_OR(Committed == N, 5);
-  CHECK_OR(TimedOut == 0, 6);
+  CHECK_OR(Rt.freeSlots() == FreeBefore, 14); // dead worker's slot reclaimed
   Rt.finish();
   return 0;
 }
@@ -471,48 +411,45 @@ int scenarioPoolTimeoutRetiresLeases() {
 
 int scenarioBatchDeadlineStaysInItsRegion() {
   // One lease of region 2 sleeps past the region budget inside a
-  // four-region batch, with one region in flight and with two, on forked
-  // workers and on the zygote nursery. Only that lease times out: a
-  // deadline retires its own region's window, not the batch, and it
-  // kills the worker holding the lease, not the ones waiting at the
-  // claim gate.
+  // four-region batch, with one region in flight and with two. Only that
+  // lease times out: a deadline retires its own region's window, not the
+  // batch, and it kills the worker holding the lease, not the ones
+  // waiting at the claim gate; the regions after it still deliver in
+  // full on the workers that are left.
   for (int K : {1, 2}) {
-    for (unsigned Zygotes : {0u, 2u}) {
-      Runtime &Rt = Runtime::get();
-      RuntimeOptions Opts;
-      Opts.MaxPool = 8;
-      Opts.Seed = 48;
-      Opts.Backend = StoreBackend::Shm;
-      Opts.Zygotes = Zygotes;
-      Rt.init(Opts);
+    Runtime &Rt = Runtime::get();
+    RuntimeOptions Opts;
+    Opts.MaxPool = 8;
+    Opts.Seed = 48;
+    Opts.Backend = StoreBackend::Shm;
+    Rt.init(Opts);
 
-      const int Regions = 4, N = 4;
-      std::vector<int> Committed, TimedOut;
-      RegionOptions Ro;
-      Ro.Workers = 2;
-      Ro.Pipeline = K;
-      Ro.TimeoutSec = 0.5;
-      Rt.regionBatch(Regions, N, Ro, [&] {
-        double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
-        if (Rt.isSampling() && Rt.regionOrdinal() == 2 &&
-            Rt.sampleIndex() == 1)
-          sleep(30); // far past the budget; SIGKILL arrives first
-        if (Rt.isSampling())
-          Rt.aggregate("x", encodeDouble(X), nullptr);
-        Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
-          Committed.push_back(V.countStatus(SampleStatus::Committed));
-          TimedOut.push_back(V.countStatus(SampleStatus::TimedOut));
-        });
+    const int Regions = 4, N = 4;
+    std::vector<int> Committed, TimedOut;
+    RegionOptions Ro;
+    Ro.Workers = 2;
+    Ro.Pipeline = K;
+    Ro.TimeoutSec = 0.5;
+    Rt.regionBatch(Regions, N, Ro, [&] {
+      double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+      if (Rt.isSampling() && Rt.regionOrdinal() == 2 &&
+          Rt.sampleIndex() == 1)
+        sleep(30); // far past the budget; SIGKILL arrives first
+      if (Rt.isSampling())
+        Rt.aggregate("x", encodeDouble(X), nullptr);
+      Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+        Committed.push_back(V.countStatus(SampleStatus::Committed));
+        TimedOut.push_back(V.countStatus(SampleStatus::TimedOut));
       });
-      uint64_t Timeouts = Rt.timedOutSamples();
-      Rt.finish();
-      CHECK_OR(Committed.size() == static_cast<size_t>(Regions), 2);
-      for (int R = 0; R != Regions; ++R) {
-        CHECK_OR(Committed[R] == (R == 1 ? N - 1 : N), 10 + R);
-        CHECK_OR(TimedOut[R] == (R == 1 ? 1 : 0), 20 + R);
-      }
-      CHECK_OR(Timeouts == 1, 3);
+    });
+    uint64_t Timeouts = Rt.timedOutSamples();
+    Rt.finish();
+    CHECK_OR(Committed.size() == static_cast<size_t>(Regions), 2);
+    for (int R = 0; R != Regions; ++R) {
+      CHECK_OR(Committed[R] == (R == 1 ? N - 1 : N), 10 + R);
+      CHECK_OR(TimedOut[R] == (R == 1 ? 1 : 0), 20 + R);
     }
+    CHECK_OR(Timeouts == 1, 3);
   }
   return 0;
 }
@@ -586,30 +523,26 @@ TEST(ProcPoolTest, ForkFailureMeansFewerWorkers) {
   EXPECT_EQ(runScenario(scenarioPoolForkFailureFewerWorkers), 0);
 }
 
-TEST(ProcPoolTest, ZygoteMatchesForkSamplingRandom) {
+TEST(ProcPoolTest, Batch1MatchesForkSamplingRandom) {
   GPoolKind = static_cast<int>(SamplingKind::Random);
-  EXPECT_EQ(runScenario(scenarioZygoteMatchesForkSampling), 0);
+  EXPECT_EQ(runScenario(scenarioBatch1MatchesForkSampling), 0);
 }
 
-TEST(ProcPoolTest, ZygoteMatchesForkSamplingStratified) {
+TEST(ProcPoolTest, Batch1MatchesForkSamplingStratified) {
   GPoolKind = static_cast<int>(SamplingKind::Stratified);
-  EXPECT_EQ(runScenario(scenarioZygoteMatchesForkSampling), 0);
+  EXPECT_EQ(runScenario(scenarioBatch1MatchesForkSampling), 0);
 }
 
-TEST(ProcPoolTest, BatchZygoteMatchesForkSamplingRandom) {
+TEST(ProcPoolTest, BatchMatchesForkSamplingRandom) {
   GPoolKind = static_cast<int>(SamplingKind::Random);
-  EXPECT_EQ(runScenario(scenarioBatchZygoteMatchesForkSampling), 0);
+  EXPECT_EQ(runScenario(scenarioBatchMatchesForkSampling), 0);
 }
 
-TEST(ProcPoolTest, BatchZygoteMatchesForkSamplingStratified) {
+TEST(ProcPoolTest, BatchMatchesForkSamplingStratified) {
   GPoolKind = static_cast<int>(SamplingKind::Stratified);
-  EXPECT_EQ(runScenario(scenarioBatchZygoteMatchesForkSampling), 0);
+  EXPECT_EQ(runScenario(scenarioBatchMatchesForkSampling), 0);
 }
 
-TEST(ProcPoolTest, ZygoteKilledRespawns) {
-  EXPECT_EQ(runScenario(scenarioZygoteKilledRespawns), 0);
-}
-
-TEST(ProcPoolTest, ZygoteTimeoutAndRecovery) {
-  EXPECT_EQ(runScenario(scenarioZygoteTimeoutAndRecovery), 0);
+TEST(ProcPoolTest, Batch1KilledWorkerLeaseRerun) {
+  EXPECT_EQ(runScenario(scenarioBatch1KilledWorkerLeaseRerun), 0);
 }

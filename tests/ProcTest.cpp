@@ -32,7 +32,7 @@ namespace {
 /// Runs \p Scenario in a forked child; returns its exit code. The child
 /// gets its own process group, and the group is SIGKILLed once the child
 /// is reaped: a scenario that fails a check exits without finish(), and
-/// the parked workers or zygotes it abandons would otherwise outlive the
+/// the workers and agents it abandons would otherwise outlive the
 /// test holding its output pipe open (which wedges ctest, not just the
 /// one test).
 int runScenario(int (*Scenario)()) {

@@ -69,7 +69,6 @@ struct Schedule {
   bool Pool = false;      // samplingRegion instead of fork-per-sample
   int N = 4;              // samples per region
   int Workers = 0;        // pool mode worker override
-  int Zygotes = 0;        // pool mode: pre-forked parked workers
   int Pipeline = 1;       // > 1: regions run as one pipelined batch
   bool Batch = false;     // pool regions run as one regionBatch() call
   int NetAgents = 0;      // pool mode: remote sampling agents over TCP
@@ -93,11 +92,13 @@ Schedule expand(uint64_t Seed) {
   S.N = 2 + int(R.pick(7)); // 2..8
   S.MaxPool = 4 + int(R.pick(5));
   S.Workers = S.Pool ? 1 + int(R.pick(4)) : 0;
-  // Half the pool schedules run on a zygote nursery, so the soak covers
-  // park/restore/respawn against every fault below (kill points land on
-  // zygotes, deadlines kill active zygotes, crashes burn the budget).
-  S.Zygotes = S.Pool && R.chance(50) ? 1 + int(R.pick(4)) : 0;
-  // Half the pool/zygote schedules run their regions as one pipelined
+  // Half the pool schedules draw this coin; they run their regions as
+  // one regionBatch(), so the workers outlive each region. (It once drew
+  // a nursery size too, and still draws it, so no later draw moves.)
+  bool OneBatch = S.Pool && R.chance(50);
+  if (OneBatch)
+    R.pick(4);
+  // Half the pool schedules run their regions as one pipelined
   // batch, so the soak hits the shared lease table, the claim-limit
   // gate, and mid-batch rolls with every fault below.
   S.Pipeline = S.Pool && R.chance(50) ? 2 + int(R.pick(3)) : 1;
@@ -105,7 +106,7 @@ Schedule expand(uint64_t Seed) {
   // A slice of the pool schedules add remote sampling agents, so the
   // soak runs mixed local/remote lease windows against every fault
   // below (deadlines dropping connections, crashes inside agents,
-  // zygote and batch composition).
+  // batch composition).
   S.NetAgents = S.Pool && R.chance(40) ? 1 + int(R.pick(3)) : 0;
   S.Split = R.chance(25);
   S.Trace = R.chance(30);
@@ -183,25 +184,26 @@ Schedule expand(uint64_t Seed) {
     if (NetPlan)
       S.Plan += std::string(S.Plan.empty() ? "" : ";") + NetPlan;
   }
-  // Pipelined schedules always batch; odd seeds also run their
-  // Pipeline-1 multi-region schedules as one batch with one region in
-  // flight, so the claim gate between deliveries (and a deadline in a
-  // region the others outlive) meets every fault above. Derived, not
-  // drawn, so every seed's other draws stay as they were.
-  S.Batch = S.Pool && (S.Pipeline > 1 || (S.Regions > 1 && (Seed & 1)));
+  // Pipelined schedules always batch; so do the schedules that drew
+  // OneBatch, and odd seeds' Pipeline-1 multi-region schedules, which run
+  // as one batch with one region in flight, so the claim gate between
+  // deliveries (and a deadline in a region the others outlive) meets
+  // every fault above. The odd-seed rule is derived, not drawn, so every
+  // seed's other draws stay as they were.
+  S.Batch = S.Pool && (S.Pipeline > 1 || OneBatch ||
+                       (S.Regions > 1 && (Seed & 1)));
   return S;
 }
 
 std::string describe(const Schedule &S) {
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
-                "seed %" PRIu64 ": %s %s N=%d pool=%d/%d zygotes=%d "
-                "pipeline=%d batch=%d regions=%d agents=%d retries=%d "
-                "timeout=%.2f split=%d trace=%d crash=%d slow=%d plan='%s'",
+                "seed %" PRIu64 ": %s %s N=%d pool=%d/%d pipeline=%d "
+                "batch=%d regions=%d agents=%d retries=%d timeout=%.2f "
+                "split=%d trace=%d crash=%d slow=%d plan='%s'",
                 S.Seed, S.Backend == StoreBackend::Shm ? "shm" : "files",
                 S.Pool ? "workers" : "fork", S.N, S.Workers, S.MaxPool,
-                S.Zygotes, S.Pipeline, int(S.Batch), S.Regions, S.NetAgents,
-                S.Retries,
+                S.Pipeline, int(S.Batch), S.Regions, S.NetAgents, S.Retries,
                 S.TimeoutSec, int(S.Split), int(S.Trace), S.CrashIdx,
                 S.SlowIdx, S.Plan.c_str());
   return Buf;
@@ -298,7 +300,6 @@ int runSchedule(const Schedule &S) {
   Opts.Backend = S.Backend;
   Opts.InjectPlan = S.Plan;
   Opts.TracePath = TracePath;
-  Opts.Zygotes = unsigned(S.Zygotes);
   Opts.NetAgents = unsigned(S.NetAgents);
   Rt.init(Opts);
   std::string RunDir = Rt.runDir();
