@@ -12,7 +12,7 @@
 ///
 ///  * waitPid retries EINTR instead of letting an interrupted wait read
 ///    as "child not exited" (which leaked split-child accounting and
-///    could hang the root in waitLiveTuningProcesses);
+///    could hang the root in finish());
 ///  * fatal() reports and aborts in every build type, replacing
 ///    assert()s that compile out under NDEBUG and let init continue
 ///    with a garbage run directory.

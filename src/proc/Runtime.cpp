@@ -139,27 +139,33 @@ timespec monoDeadlineIn(int Ms) {
 /// Spare parking commands (ChildSlot::Command).
 enum SpareCommand : int32_t { SpPark = 0, SpActivate = 1, SpDiscard = 2 };
 
-/// Lifecycle of one sample lease in a worker-pool region. Terminal states
+/// Lifecycle of one sample lease: the one ledger of sample outcomes, in
+/// fork-per-sample and worker-pool regions alike. Terminal states
 /// translate to SampleStatus when the region resolves.
 enum LeaseState : int32_t {
   LsPending = 0, // not yet claimed
-  LsClaimed,     // a worker is running it
+  LsClaimed,     // a process is running it
   LsReturned,    // orphaned by a dead worker; awaiting re-claim
   LsCommitted,
   LsPruned,
   LsCrashed,
   LsTimedOut,
-  LsForkFailed, // no worker ever existed to run it
+  LsForkFailed, // no process ever existed to run it
+  LsUnused,     // a fork-mode retry spare's, until the spare is activated
 };
+
+/// Whether lease state \p Ls is a sample's outcome (Committed through
+/// ForkFailed), which no party moves again.
+bool leaseFinal(int32_t Ls) { return Ls >= LsCommitted && Ls <= LsForkFailed; }
 
 /// A worker re-runs an orphaned lease at most once: the original attempt
 /// plus one retry. A lease whose second owner also dies is Crashed — the
 /// sample itself is the likely killer.
 constexpr int32_t MaxLeaseAttempts = 2;
 
-/// ChildSlot::CurrentLease of a pool worker the supervisor has claimed
-/// for a deadline kill while it held lease \p Idx (killStragglers()). Any
-/// value <= -2 is such a mark; -1 means no lease.
+/// ChildSlot::CurrentLease of a process the supervisor has claimed for a
+/// deadline kill while it held lease \p Idx (killStragglers()). Any value
+/// <= -2 is such a mark; -1 means no lease. killMark(killMark(I)) == I.
 constexpr int32_t killMark(int32_t Idx) { return -2 - Idx; }
 
 SampleStatus leaseSampleStatus(int32_t Ls) {
@@ -172,6 +178,8 @@ SampleStatus leaseSampleStatus(int32_t Ls) {
     return SampleStatus::TimedOut;
   case LsForkFailed:
     return SampleStatus::ForkFailed;
+  case LsUnused:
+    return SampleStatus::Unused;
   default:
     // LsCrashed, plus any non-terminal state that slipped through (the
     // settle loop should have retired them all): count it as a crash
@@ -190,45 +198,49 @@ struct LeaseEnd {};
 namespace wbt {
 namespace proc {
 
-/// Supervision record of one sampling child. Lives in the per-region
-/// MAP_SHARED child table, so both the child and the supervising tuning
-/// process see it. The SlotHeld/BarrierLeft flags carry cleanup ownership:
-/// whoever wins the atomic exchange performs the release, which makes pool
-/// slot and barrier reclamation exactly-once even when the supervisor
-/// reclaims on behalf of a child that died mid-exit.
+/// Supervision record of one sampling process (a fork-mode sample or
+/// spare, or a pool worker). Lives in the per-region MAP_SHARED table, so
+/// both the child and the supervising tuning process see it; the child's
+/// sample outcomes live in the lease cells, not here. The
+/// SlotHeld/BarrierLeft flags carry cleanup ownership: whoever wins the
+/// atomic exchange performs the release, which makes pool slot and barrier
+/// reclamation exactly-once even when the supervisor reclaims on behalf of
+/// a child that died mid-exit.
 struct ChildSlot {
   std::atomic<int32_t> Pid;
   std::atomic<int32_t> SlotHeld;    // 1 while a pool slot is owned
-  std::atomic<int32_t> BarrierLeft; // 1 once the barrier has been left
+  std::atomic<int32_t> BarrierLeft; // 1 once the @sync barrier is left, or
+                                    // while outside it (spares, workers)
   std::atomic<int32_t> InBarrier;   // 1 while blocked in @sync
-  std::atomic<int32_t> Status;      // SampleStatus
-  std::atomic<int32_t> Signal;
+  std::atomic<int32_t> Exiting;     // 1 once only exitChild()'s end is left
   std::atomic<int32_t> Command;     // SpareCommand (spares only)
-  std::atomic<int32_t> CurrentLease; // claimed sample index, -1 between
-                                     // leases (pool workers only)
+  std::atomic<int32_t> CurrentLease; // lease held, -1 for none, or the
+                                     // killMark() of a deadline victim
 };
 
-/// Per-sample lease record of a worker-pool region. Lives in the shared
-/// child table after the worker slots; the supervisor and every worker
-/// see the same state machine (LeaseState).
+/// Per-sample lease record; the supervisor and every sampling process see
+/// the same state machine (LeaseState). Lives in the region table after
+/// the child slots.
 struct LeaseCell {
   std::atomic<int32_t> State;    // LeaseState
   std::atomic<int32_t> Signal;   // terminating signal of a crashed owner
   std::atomic<int32_t> Attempts; // times a local worker started it
 };
 
-/// Header of the per-region shared child table; ChildSlot[NumSlots]
-/// follows it in memory, then LeaseCell[NumLeases] in pool mode.
+/// Header of the per-region shared table; ChildSlot[NumSlots] follows it
+/// in memory, then LeaseCell[NumLeases]. A fork-mode region has a slot
+/// and a lease per sample and spare (slot I runs lease I); a pool table
+/// has a slot per worker.
 struct RegionTable {
-  SharedLock ParkLock; // spare parking: guards Command + wakes spares
-  int32_t NumSlots;  // samples + spares (pool mode: one per worker)
+  SharedLock ParkLock; // spare parking and the pool's claim gate
+  int32_t NumSlots;
   int32_t PoolMode;  // 1 for regionBatch() regions
-  int32_t NumLeases; // BatchCount * BatchN (pool mode only)
+  int32_t NumLeases; // BatchCount * BatchN
   std::atomic<int32_t> LeasesReturned; // LsReturned cells awaiting re-claim
-  // Pool mode (regionBatch): the lease table spans BatchCount regions of
-  // BatchN samples each; lease Idx belongs to region BatchBase + Idx /
-  // BatchN at local sample index Idx % BatchN. A one-region batch maps
-  // every lease to itself.
+  // The lease table spans BatchCount regions of BatchN samples each;
+  // lease Idx belongs to region BatchBase + Idx / BatchN at local sample
+  // index Idx % BatchN. A fork-mode region is a one-region table whose
+  // BatchN counts its spares too.
   int32_t BatchCount;
   int32_t BatchN;
   uint64_t BatchBase;
@@ -247,10 +259,6 @@ static ChildSlot *slotsOf(RegionTable *T) {
 
 static LeaseCell *leasesOf(RegionTable *T) {
   return reinterpret_cast<LeaseCell *>(slotsOf(T) + T->NumSlots);
-}
-
-static SampleStatus statusOf(const ChildSlot &S) {
-  return static_cast<SampleStatus>(S.Status.load(std::memory_order_relaxed));
 }
 
 uint64_t proc::removeTreeFailures() {
@@ -616,8 +624,9 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   }
   TraceBuf.clear();
   InitTime = monoNow();
-  // The root tuning process occupies a pool slot like any other process.
-  Ctl->acquireSlot(/*IsTuning=*/true);
+  // The root tuning process occupies a pool slot like any other process;
+  // a fresh pool always admits it, so one attempt that never waits.
+  Ctl->acquireSlotTimed(/*IsTuning=*/true, /*TimeoutMs=*/0);
   // Seed the metrics page so the very first scrape sees a snapshot.
   publishTelemetry();
 }
@@ -626,28 +635,8 @@ void Runtime::finish() {
   assert(Inited && "finish() before init()");
   assert(isTuning() && "sampling processes terminate in aggregate()");
   // Reap our own split children first; their finish() already waited for
-  // theirs, so this transitively covers all descendants. A split child
-  // that died before reaching finish() left its live-tuning-process count
-  // and pool slot behind — reclaim them on its behalf so the root cannot
-  // hang in waitLiveTuningProcesses().
-  for (pid_t Pid : SplitChildren) {
-    int St = 0;
-    // sys::waitPid retries EINTR internally: an interrupted wait used to
-    // read as "child handled", skipping both the reap and the abnormal-
-    // death reclamation below — a zombie plus, if the child died before
-    // finish(), a root hang in waitLiveTuningProcesses().
-    if (sys::waitPid(Pid, &St, 0) != Pid)
-      continue;
-    if (!(WIFEXITED(St) && WEXITSTATUS(St) == 0)) {
-      std::fprintf(stderr,
-                   "wbtuner: split tuning process %d died abnormally "
-                   "(status 0x%x); reclaiming its accounting\n",
-                   static_cast<int>(Pid), St);
-      Ctl->tuningProcessExited();
-      Ctl->releaseSlot();
-    }
-  }
-  SplitChildren.clear();
+  // theirs, so this transitively covers all descendants.
+  reapSplitChildren(/*Block=*/true);
   if (IsRoot) {
     // Retire the sampling agents before the all-descendants wait: they
     // hold no pool slot or live-tuning-process count, so nothing below
@@ -688,24 +677,58 @@ void Runtime::finishAndExit() {
   _exit(0);
 }
 
+/// Reaps this tuning process' @split children: every one, waiting for
+/// it, when \p Block (finish()), else those already gone (the split()
+/// gate). A split child that died before its own finish() left its
+/// live-tuning-process count and pool slot behind; they are reclaimed on
+/// its behalf, or the root would hang in finish() and a later split()
+/// would starve at the gate.
+void Runtime::reapSplitChildren(bool Block) {
+  for (size_t I = 0; I != SplitChildren.size();) {
+    pid_t Pid = SplitChildren[I];
+    int St = 0;
+    // sys::waitPid retries EINTR internally, so an interrupted wait never
+    // reads as "child handled", which would skip both the reap and the
+    // abnormal-death reclamation below.
+    pid_t Got = sys::waitPid(Pid, &St, Block ? 0 : WNOHANG);
+    if (Got == 0) {
+      ++I;
+      continue;
+    }
+    if (Got == Pid && !(WIFEXITED(St) && WEXITSTATUS(St) == 0)) {
+      std::fprintf(stderr,
+                   "wbtuner: split tuning process %d died abnormally "
+                   "(status 0x%x); reclaiming its accounting\n",
+                   static_cast<int>(Pid), St);
+      Ctl->tuningProcessExited();
+      Ctl->releaseSlot();
+    }
+    SplitChildren.erase(SplitChildren.begin() + static_cast<ptrdiff_t>(I));
+  }
+}
+
 std::string Runtime::regionDir(uint64_t Region) const {
   return TpDir + "/r" + std::to_string(Region);
 }
 
 void Runtime::exitChild() {
-  // Controlled exit of a sampling process: leave the region barrier so a
-  // pending @sync cannot deadlock, then return the pool slot. The
-  // exchange flags hand cleanup to the supervisor if we lose the race
-  // with a timeout kill. _exit(2) skips stdio teardown, so flush what the
-  // user printed first.
+  // Controlled exit of a sampling process. A fork child first gives up
+  // its lease (a pool worker gave up its last one in runOneLease()):
+  // from here on no deadline kill can pick it, so it never holds one of
+  // the shared locks below when a SIGKILL lands. Then it leaves the
+  // region barrier so a pending @sync cannot deadlock, and returns the
+  // pool slot; the exchange flags hand that cleanup to the supervisor if
+  // it dies first. _exit(2) skips stdio teardown, so flush what the user
+  // printed first.
+  if (!PoolWorker)
+    dropLeaseMark(ChildIndex);
   traceEmit(PoolWorker ? obs::EventKind::WorkerEnd
                        : obs::EventKind::SampleEnd,
             RegionCounter,
             static_cast<uint64_t>(PoolWorker ? WorkerIndex : ChildIndex));
   std::fflush(nullptr);
-  // Pool workers live in slot WorkerIndex; ChildIndex is their current
-  // sample lease, which indexes the lease table, not the slot array.
-  ChildSlot &S = slotsOf(Table)[PoolWorker ? WorkerIndex : ChildIndex];
+  ChildSlot &S = slotsOf(Table)[WorkerIndex];
+  S.Exiting.store(1, std::memory_order_release);
   if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
     Ctl->barrierLeave(BarrierSlot);
   if (S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
@@ -726,23 +749,38 @@ void Runtime::parkAsSpare(int Idx) {
   pthread_mutex_unlock(&Table->ParkLock.Mutex);
   if (Cmd == SpDiscard) {
     std::fflush(nullptr);
-    Ctl->childEventNotify();
     _exit(0);
   }
-  // Activated: take a real sampling slot and run the region body with the
-  // fresh RNG stream this index was seeded with.
-  acquireSlotKillable();
+  // Activated: claim the lease the way a pool worker back from the claim
+  // gate does — publish it in CurrentLease, then, once it holds a real
+  // sampling slot, move it from Pending to Claimed. A lease the region
+  // deadline retired meanwhile, even while it waits for the slot, is not
+  // ours to run. The body then runs with the fresh RNG stream this index
+  // was seeded with.
+  S.CurrentLease.store(Idx, std::memory_order_release);
+  if (!pollForSlot(/*WhilePending=*/Idx))
+    exitChild();
   S.SlotHeld.store(1, std::memory_order_release);
   traceEmit(obs::EventKind::SchedAdmit, 0, static_cast<uint64_t>(Idx));
+  int32_t Expect = LsPending;
+  if (!leasesOf(Table)[Idx].State.compare_exchange_strong(
+          Expect, LsClaimed, std::memory_order_acq_rel))
+    exitChild();
 }
 
-void Runtime::acquireSlotKillable() {
+bool Runtime::pollForSlot(int WhilePending) {
   // Poll rather than wait on the pool's process-shared condvar: glibc's
-  // condvar counts each waiter in, and one SIGKILLed mid-wait is never
+  // condvar counts each waiter in, and one that dies mid-wait is never
   // counted out, so the next broadcast — every releaseSlot() of every
   // process — blocks forever. Uncontended, the first attempt succeeds.
-  while (!Ctl->acquireSlotTimed(/*IsTuning=*/false, /*TimeoutMs=*/0))
+  while (!Ctl->acquireSlotTimed(/*IsTuning=*/false, /*TimeoutMs=*/0)) {
+    if (WhilePending >= 0 &&
+        leasesOf(Table)[WhilePending].State.load(std::memory_order_acquire) !=
+            LsPending)
+      return false;
     usleep(1000);
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -753,8 +791,8 @@ bool Runtime::regionDeadlinePassed() const {
   return RegionHasDeadline && monoNow() > RegionDeadline;
 }
 
-/// Reaps child \p Idx if it has exited; classifies its terminal status
-/// and reclaims whatever it still owned. Returns true if newly reaped.
+/// Reaps child \p Idx if it has exited, reclaims whatever it still owned,
+/// and settles the lease it held. Returns true if newly reaped.
 bool Runtime::reapOne(int Idx, bool Block) {
   ChildSlot &S = slotsOf(Table)[Idx];
   pid_t Pid = S.Pid.load(std::memory_order_relaxed);
@@ -769,25 +807,6 @@ bool Runtime::reapOne(int Idx, bool Block) {
     return false;
   Reaped[Idx] = true;
 
-  bool CleanExit = WIFEXITED(St) && WEXITSTATUS(St) == 0;
-  SampleStatus Cur = statusOf(S);
-  if (!CleanExit) {
-    // killStragglers() already recorded TimedOut for its victims; any
-    // other abnormal death is a crash.
-    if (Cur != SampleStatus::TimedOut) {
-      S.Status.store(static_cast<int32_t>(SampleStatus::Crashed),
-                     std::memory_order_relaxed);
-      S.Signal.store(WIFSIGNALED(St) ? WTERMSIG(St) : 0,
-                     std::memory_order_relaxed);
-      Ctl->noteCrash();
-    }
-  } else if (Cur == SampleStatus::Running) {
-    // Exited zero without committing or pruning through the primitives:
-    // semantically a prune (no file in the store).
-    S.Status.store(static_cast<int32_t>(SampleStatus::Pruned),
-                   std::memory_order_relaxed);
-  }
-
   // Reclaim the pool slot and barrier membership the child still owned.
   // Exchange semantics make this a no-op for children that cleaned up
   // themselves in exitChild().
@@ -795,39 +814,47 @@ bool Runtime::reapOne(int Idx, bool Block) {
     Ctl->releaseSlot();
   if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
     Ctl->barrierReclaimDead(BarrierSlot, &S.InBarrier);
-  // A pool worker may have died mid-lease (or under a deadline kill
-  // mark): its lease goes through the retry rule, timed out if the worker
-  // was a deadline kill. A lease still Pending lost its worker between
-  // the counter claim and the Claimed mark; no one else can claim it.
-  int Lease = Table->PoolMode
-                  ? S.CurrentLease.exchange(-1, std::memory_order_acq_rel)
-                  : -1;
-  if (Lease <= -2)
+  // A holder still naming its lease died mid-body (or under a deadline
+  // kill mark). A clean exit there is a voluntary prune; any other death
+  // goes through the retry rule, timed out if it was a deadline kill. A
+  // lease still Pending lost its claimant between the mark and the
+  // Claimed CAS; no one else can claim it.
+  int32_t Lease = S.CurrentLease.exchange(-1, std::memory_order_acq_rel);
+  bool Killed = Lease <= -2;
+  if (Killed)
     Lease = killMark(Lease);
-  if (Lease >= 0 && Lease < Table->NumLeases) {
-    int32_t From = leasesOf(Table)[Lease].State.load(
-                       std::memory_order_acquire) == LsPending
-                       ? LsPending
-                       : LsClaimed;
-    returnOrRetireLease(Lease, From, statusOf(S) == SampleStatus::TimedOut,
-                        S.Signal.load(std::memory_order_relaxed));
-  }
+  bool CleanExit = WIFEXITED(St) && WEXITSTATUS(St) == 0;
+  if (!CleanExit && !Killed)
+    Ctl->noteCrash();
+  if (Lease < 0 || Lease >= Table->NumLeases)
+    return true;
+  LeaseCell &L = leasesOf(Table)[Lease];
+  int32_t From = L.State.load(std::memory_order_acquire) == LsPending
+                     ? LsPending
+                     : LsClaimed;
+  if (CleanExit && !Killed)
+    L.State.compare_exchange_strong(From, LsPruned, std::memory_order_acq_rel);
+  else
+    returnOrRetireLease(Lease, From, Killed,
+                        !Killed && WIFSIGNALED(St) ? WTERMSIG(St) : 0);
   return true;
 }
 
 /// The one retry rule for an orphaned lease, whose holder died (a local
-/// worker), disconnected (a remote agent), or vanished inside the claim
-/// window: move it from state \p From back to the pool for another
-/// worker to re-claim, unless it is \p Timed or out of attempts — then
-/// retire it as TimedOut or Crashed, recording the holder's \p Signal.
+/// worker or fork child), disconnected (a remote agent), or vanished
+/// inside the claim window: move it from state \p From back to the pool
+/// for another worker to re-claim, unless it is \p Timed, out of attempts,
+/// or has no RegionBody to re-run it (a fork-mode sample) — then retire
+/// it as TimedOut or Crashed, recording the holder's \p Signal.
 /// Re-running a sample that keeps killing its workers, or that has
 /// already blown the region deadline, only wastes the rest of the pool.
 /// Returns true when the lease went back to the pool.
 bool Runtime::returnOrRetireLease(int Idx, int32_t From, bool Timed,
                                   int32_t Signal) {
   LeaseCell &L = leasesOf(Table)[Idx];
-  int32_t Expect = From;
-  if (!Timed && L.Attempts.load(std::memory_order_relaxed) < MaxLeaseAttempts) {
+  if (!Timed && RegionBody &&
+      L.Attempts.load(std::memory_order_relaxed) < MaxLeaseAttempts) {
+    int32_t Expect = From;
     if (!L.State.compare_exchange_strong(Expect, LsReturned,
                                          std::memory_order_acq_rel))
       return false;
@@ -836,10 +863,27 @@ bool Runtime::returnOrRetireLease(int Idx, int32_t From, bool Timed,
     traceEmit(obs::EventKind::LeaseReclaim, static_cast<uint64_t>(Idx));
     return true;
   }
-  if (L.State.compare_exchange_strong(Expect, Timed ? LsTimedOut : LsCrashed,
-                                      std::memory_order_acq_rel))
-    L.Signal.store(Signal, std::memory_order_relaxed);
+  retireLease(Idx, From, Timed ? LsTimedOut : LsCrashed, Signal);
   return false;
+}
+
+/// Moves lease \p Idx from state \p From to the terminal state \p Final
+/// unless another party moved it first, recording its holder's
+/// \p Signal. Every timed-out sample is counted here. Returns whether the
+/// lease moved.
+bool Runtime::retireLease(int64_t Idx, int32_t From, int32_t Final,
+                          int32_t Signal) {
+  LeaseCell &L = leasesOf(Table)[Idx];
+  int32_t Expect = From;
+  if (!L.State.compare_exchange_strong(Expect, Final,
+                                       std::memory_order_acq_rel))
+    return false;
+  if (From == LsReturned)
+    Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
+  L.Signal.store(Signal, std::memory_order_relaxed);
+  if (Final == LsTimedOut)
+    Ctl->noteTimeout();
+  return true;
 }
 
 /// One WNOHANG pass over every child. Activates retry spares for newly
@@ -855,24 +899,23 @@ int Runtime::sweepChildren() {
     if (!Pool && I >= RegionN &&
         Slots[I].Command.load(std::memory_order_relaxed) != SpActivate)
       continue; // parked spares are discarded at region end
-    // A child whose slot and barrier share are already released is inside
-    // exitChild() with only _exit(2) left (or is a kill victim): its wake
-    // event fired before the zombie existed, so a WNOHANG pass can miss
-    // it and stall a full event-wait timeout. Reaping it blocking is
-    // bounded — no user code runs past that point.
-    bool Exiting =
-        Slots[I].SlotHeld.load(std::memory_order_acquire) == 0 &&
-        Slots[I].BarrierLeft.load(std::memory_order_acquire) == 1;
-    if (!reapOne(I, /*Block=*/Exiting)) {
+    // An Exiting child is inside exitChild() with only _exit(2) left:
+    // its wake event fired before the zombie existed, so a WNOHANG pass
+    // can miss it and stall a full event-wait timeout. Reaping it
+    // blocking is bounded — no user code runs past that point.
+    if (!reapOne(I, /*Block=*/Slots[I].Exiting.load(
+                     std::memory_order_acquire) == 1)) {
       Live += !Reaped[I] && Slots[I].Pid.load(std::memory_order_relaxed) > 0;
       continue;
     }
-    // A spare activated here sits at a higher index, so this pass still
+    // A spare replaces a failed fork-mode sample (slot I runs lease I).
+    // One activated here sits at a higher index, so this pass still
     // visits (and counts) it.
-    SampleStatus St = statusOf(Slots[I]);
-    if ((St == SampleStatus::Crashed || St == SampleStatus::TimedOut) &&
-        !RegionUsedSync && !Pool)
-      activateSpare();
+    if (!Pool && !RegionUsedSync) {
+      int32_t Ls = leasesOf(Table)[I].State.load(std::memory_order_acquire);
+      if (Ls == LsCrashed || Ls == LsTimedOut)
+        activateSpare();
+    }
   }
   // Fold freshly published slab commits while we are here anyway — this
   // is what makes aggregate() O(1) per sample: by the time the last
@@ -887,20 +930,25 @@ int Runtime::sweepChildren() {
   return Live;
 }
 
-/// Wakes the next parked spare to replace a failed sample. Returns false
-/// when no spare is left.
+/// Wakes the next parked spare to replace a failed sample: its lease
+/// turns Pending, for the spare to claim. Returns false when no spare is
+/// left, or the region deadline has passed (a replacement could not run
+/// inside it).
 bool Runtime::activateSpare() {
+  if (regionDeadlinePassed())
+    return false;
   ChildSlot *Slots = slotsOf(Table);
   while (NextSpare < NumSpares) {
     int Idx = RegionN + NextSpare++;
     ChildSlot &S = Slots[Idx];
-    if (S.Pid.load(std::memory_order_relaxed) <= 0 || Reaped[Idx])
+    // A spare the spawn loop has not forked yet is activated all the
+    // same: it finds the command set when it parks.
+    if (Reaped[Idx])
       continue; // its fork failed, or it died while parked
     // The spare will owe a barrierLeave like any live child.
     Ctl->barrierAdd(BarrierSlot, +1);
     S.BarrierLeft.store(0, std::memory_order_relaxed);
-    S.Status.store(static_cast<int32_t>(SampleStatus::Running),
-                   std::memory_order_relaxed);
+    leasesOf(Table)[Idx].State.store(LsPending, std::memory_order_release);
     pthread_mutex_lock(&Table->ParkLock.Mutex);
     S.Command.store(SpActivate, std::memory_order_relaxed);
     pthread_cond_broadcast(&Table->ParkLock.Cond);
@@ -912,55 +960,36 @@ bool Runtime::activateSpare() {
   return false;
 }
 
-/// Region deadline enforcement: SIGKILL every child that is still running
-/// the body, reclaiming its resources first (claim-then-kill keeps the
-/// slot accounting exact). Parked spares are left for discardSpares().
-/// In a pool region the stragglers are the workers still running a
-/// claimed lease of the delivering region's window; each is claimed by
-/// swapping its CurrentLease for a kill mark. A worker that finishes that lease
-/// meanwhile finds the mark when it clears CurrentLease (dropLeaseMark)
-/// and waits there for the SIGKILL, holding no lock. Workers waiting at
-/// the claim gate or running a later region's lease are not the
-/// deadline's business. Returns the number of children killed.
+/// Region deadline enforcement, one rule for both region paths: SIGKILL
+/// every process still running a claimed lease of the delivering
+/// region's window. Each is claimed first by swapping its CurrentLease
+/// for a kill mark while the lease is Claimed, and its slot and barrier
+/// share are reclaimed before the kill (claim-then-kill keeps the
+/// accounting exact). A holder that ends that lease meanwhile finds the
+/// mark when it gives up CurrentLease (dropLeaseMark(), first thing in
+/// exitChild() for a fork child) and waits there for the SIGKILL,
+/// holding no lock. Processes holding no claimed lease of the window —
+/// parked spares, spares and workers waiting for a pool slot, workers at
+/// the claim gate or running a later region's lease, children that have
+/// committed or wait at a @sync barrier — are not the deadline's
+/// business. Returns the number of processes killed.
 int Runtime::killStragglers() {
   ChildSlot *Slots = slotsOf(Table);
-  bool Pool = Table->PoolMode != 0;
-  int64_t W0 = Pool ? windowBegin() : 0;
+  int64_t W0 = windowBegin();
   int Killed = 0;
   for (int I = 0, E = Table->NumSlots; I != E; ++I) {
     ChildSlot &S = Slots[I];
-    bool Counted = Pool || I < RegionN ||
-                   S.Command.load(std::memory_order_relaxed) == SpActivate;
     pid_t Pid = S.Pid.load(std::memory_order_relaxed);
-    if (!Counted || Reaped[I] || Pid <= 0)
+    if (Reaped[I] || Pid <= 0)
       continue;
-    if (Pool) {
-      int32_t Cur = S.CurrentLease.load(std::memory_order_acquire);
-      if (Cur < W0 || Cur >= W0 + Table->BatchN ||
-          leasesOf(Table)[Cur].State.load(std::memory_order_acquire) !=
-              LsClaimed ||
-          !S.CurrentLease.compare_exchange_strong(Cur, killMark(Cur),
-                                                  std::memory_order_acq_rel))
-        continue;
-    }
-    // Claim the child's resources before the kill so it cannot die
-    // between claiming and releasing them itself.
-    bool OwnSlot = S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1;
-    if (!Pool && !OwnSlot &&
-        S.BarrierLeft.load(std::memory_order_acquire) == 1) {
-      // The child released both itself: its exit is under way and runs
-      // no more user code. A SIGKILL now could land while it holds a
-      // process-shared mutex in releaseSlot() or childEventNotify(),
-      // wedging every process that later takes that lock. Let it finish.
-      reapOne(I, /*Block=*/true);
+    int32_t Cur = S.CurrentLease.load(std::memory_order_acquire);
+    if (Cur < W0 || Cur >= W0 + Table->BatchN ||
+        leasesOf(Table)[Cur].State.load(std::memory_order_acquire) !=
+            LsClaimed ||
+        !S.CurrentLease.compare_exchange_strong(Cur, killMark(Cur),
+                                                std::memory_order_acq_rel))
       continue;
-    }
-    int32_t Expect = static_cast<int32_t>(SampleStatus::Running);
-    if (S.Status.compare_exchange_strong(
-            Expect, static_cast<int32_t>(SampleStatus::TimedOut),
-            std::memory_order_relaxed))
-      Ctl->noteTimeout();
-    if (OwnSlot)
+    if (S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
       Ctl->releaseSlot();
     if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
       Ctl->barrierReclaimDead(BarrierSlot, &S.InBarrier);
@@ -971,6 +1000,28 @@ int Runtime::killStragglers() {
     ++Killed;
   }
   return Killed;
+}
+
+/// The deadline step of every tuning-side wait of a live region (the
+/// spawn loops, sync() and aggregate()): once the region deadline has
+/// passed, retire the delivering window's unclaimed leases — first, so
+/// no process can claim one after the kill pass has looked at it — then
+/// kill the holders of its claimed ones, and drop the connections of
+/// remote agents that still own some. Remotely owned leases retire
+/// through the Return callback that dropping the connections runs (the
+/// window's past-deadline returns retire, later windows' go back to the
+/// pool); the agents reconnect on their own. Returns how many leases,
+/// processes and server drops it acted on: 0 means there was nothing
+/// left to enforce.
+int Runtime::enforceDeadline() {
+  if (!regionDeadlinePassed())
+    return 0;
+  int Acted = markLeasesTimedOut() + killStragglers();
+  if (NetServer && NetServer->regionOpen() && NetServer->busy()) {
+    NetServer->dropConnections();
+    ++Acted;
+  }
+  return Acted;
 }
 
 /// Tells every still-parked spare to exit and reaps it.
@@ -1054,43 +1105,27 @@ void Runtime::foldEntryBytes(const std::string &Var, int Child,
 }
 
 /// One pass over the region's slab window, folding every published
-/// commit of a child that has reached Committed. Children still Running
-/// are revisited on the next sweep (their commitExtra() records become
-/// foldable only once the final status says the run succeeded); crashed
-/// or pruned children are never folded, mirroring committed().
+/// commit of a sample whose lease has reached Committed. Leases still
+/// running are revisited on the next sweep (their commitExtra() records
+/// become foldable only once the lease says the run succeeded); crashed
+/// or pruned samples are never folded, mirroring committed().
 void Runtime::foldSlabCommits() {
   if (!Table ||
       (FoldScalars.empty() && FoldVotes.empty() && FoldMeanVecs.empty()))
     return;
-  ChildSlot *Slots = slotsOf(Table);
+  // Child is the region-local sample index; the lease cell lives at the
+  // region's window offset in the flat table.
+  LeaseCell *Window = leasesOf(Table) + windowBegin();
   SlabEntryView E;
   for (size_t Idx = RegionSlabStart, End = Ctl->slabAllocated(); Idx != End;
        ++Idx) {
     if (!Ctl->slabEntry(Idx, E))
       continue; // unpublished (in flight, or its writer died mid-commit)
-    if (E.Tp != TpId || E.Region != RegionCounter)
+    if (E.Tp != TpId || E.Region != RegionCounter || E.Child < 0 ||
+        E.Child >= Table->BatchN)
       continue;
-    // Pool mode: the gate is the lease's own state — the committing
-    // worker is usually still alive and Running. Child is the
-    // region-local sample index; the lease cell lives at the region's
-    // window offset in the flat table.
-    if (Table->PoolMode) {
-      if (E.Child < 0 || E.Child >= Table->BatchN)
-        continue;
-      int64_t LIdx =
-          static_cast<int64_t>(E.Region - Table->BatchBase) * Table->BatchN +
-          E.Child;
-      if (LIdx < 0 || LIdx >= Table->NumLeases)
-        continue;
-      if (leasesOf(Table)[LIdx].State.load(std::memory_order_acquire) !=
-          LsCommitted)
-        continue;
-    } else {
-      if (E.Child < 0 || E.Child >= Table->NumSlots)
-        continue;
-      if (statusOf(Slots[E.Child]) != SampleStatus::Committed)
-        continue;
-    }
+    if (Window[E.Child].State.load(std::memory_order_acquire) != LsCommitted)
+      continue;
     foldEntryBytes(std::string(E.Name), E.Child, E.Data, E.Size);
   }
 }
@@ -1126,14 +1161,11 @@ void Runtime::foldRemaining(
 }
 
 std::shared_ptr<const RegionReader> Runtime::makeRegionReader() const {
-  // Record indices run over sample slots in fork mode; a pool delivery
-  // reads one region's window of BatchN samples (slab records carry
-  // region-local child indices).
-  int NumRecords =
-      !Table ? 0 : (Table->PoolMode ? Table->BatchN : Table->NumSlots);
+  // A delivery reads one region's window of BatchN samples (slab records
+  // carry region-local child indices).
   if (Opts.Backend == StoreBackend::Shm)
     return std::make_shared<ShmRegionReader>(*Ctl, TpId, RegionCounter,
-                                             RegionSlabStart, NumRecords,
+                                             RegionSlabStart, Table->BatchN,
                                              RegionDirPath);
   return std::make_shared<FileRegionReader>(RegionDirPath);
 }
@@ -1161,56 +1193,44 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
   BarrierSlot = Ctl->acquireBarrierSlot();
   Ctl->barrierReset(BarrierSlot, N);
 
+  // One slot and one lease per sample, the spares' after the mains': a
+  // one-region table whose window spans them all. Mains owe a barrier
+  // leave; spares stay outside the barrier, and their leases unused,
+  // until activated.
   int NumSlots = N + NumSpares;
-  TableBytes = sizeof(RegionTable) +
-               static_cast<size_t>(NumSlots) * sizeof(ChildSlot);
-  void *Mem = sys::mmapShared(TableBytes);
-  if (Mem == MAP_FAILED)
-    sys::fatal("mmap of region child table (%zu bytes) failed: %s",
-               TableBytes, std::strerror(errno));
-  std::memset(Mem, 0, TableBytes);
-  Table = static_cast<RegionTable *>(Mem);
-  Table->ParkLock.init();
-  Table->NumSlots = NumSlots;
+  mapRegionTable(RegionCounter, 1, NumSlots, NumSlots);
   ChildSlot *Slots = slotsOf(Table);
+  LeaseCell *Leases = leasesOf(Table);
   for (int I = 0; I != NumSlots; ++I) {
-    bool IsSpare = I >= N;
-    // Spares are outside the barrier until activated; mains owe a leave.
-    Slots[I].BarrierLeft.store(IsSpare ? 1 : 0, std::memory_order_relaxed);
-    Slots[I].Status.store(
-        static_cast<int32_t>(IsSpare ? SampleStatus::Unused
-                                     : SampleStatus::Running),
-        std::memory_order_relaxed);
+    if (I < N)
+      Slots[I].BarrierLeft.store(0, std::memory_order_relaxed);
+    else
+      Leases[I].State.store(LsUnused, std::memory_order_relaxed);
   }
-  Reaped.assign(static_cast<size_t>(NumSlots), 0);
 
-  // Flush stdio before forking so children do not replay the parent's
-  // buffered output.
-  std::fflush(nullptr);
   for (int I = 0; I != NumSlots; ++I) {
-    ChildSlot &S = Slots[I];
-    // Alg. 1: a sampling spawn waits only for a free slot. The wait is
-    // supervised: while blocked, reap children that already died so their
-    // leaked slots cannot starve the spawn loop.
-    while (!Ctl->acquireSlotTimed(/*IsTuning=*/false, 50)) {
-      traceEmit(obs::EventKind::SchedDefer, 0, static_cast<uint64_t>(I));
-      sweepChildren();
+    if (!admitSampler(I, /*UntilDeadline=*/true)) {
+      // Nothing is forked past the region deadline: a main sample, or a
+      // spare activated before its fork, retires TimedOut, and an idle
+      // spare stays unused.
+      retireLease(I, LsPending, LsTimedOut, /*Signal=*/0);
+      settleUnforked(I);
+      continue;
     }
-    traceEmit(obs::EventKind::SchedAdmit, 0, static_cast<uint64_t>(I));
-    S.SlotHeld.store(1, std::memory_order_relaxed);
-    double ForkT0 = monoNow();
-    pid_t Pid = sys::forkProcess();
+    if (I < N) {
+      // A main sample is forked only once its lease is claimed. Before
+      // its fork only the deadline step can move it, and then admission
+      // fails first.
+      int32_t Expect = LsPending;
+      [[maybe_unused]] bool Claimed = Leases[I].State.compare_exchange_strong(
+          Expect, LsClaimed, std::memory_order_acq_rel);
+      assert(Claimed && "an unforked sample's lease moved");
+      Slots[I].CurrentLease.store(I, std::memory_order_relaxed);
+    }
+    pid_t Pid = forkIntoSlot(I);
     if (Pid < 0) {
-      // The sample never existed: release the reserved slot, shrink the
-      // barrier, record the failure, and carry on with the region.
-      S.SlotHeld.store(0, std::memory_order_relaxed);
-      Ctl->releaseSlot();
-      if (S.BarrierLeft.exchange(1, std::memory_order_relaxed) == 0)
-        Ctl->barrierLeave(BarrierSlot);
-      S.Status.store(static_cast<int32_t>(SampleStatus::ForkFailed),
-                     std::memory_order_relaxed);
-      Ctl->noteForkFailure();
-      Reaped[I] = 1;
+      // The sample never existed; carry on with the region.
+      Leases[I].State.store(LsForkFailed, std::memory_order_relaxed);
       std::fprintf(stderr,
                    "wbtuner: fork failed for sample %d of region %llu "
                    "(tp %llu); skipping it\n",
@@ -1221,11 +1241,8 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
     if (Pid == 0) {
       // Sampling child: it owns the slot just acquired and releases it in
       // exitChild() (or when parking, for spares).
-      Mode = ModeKind::Sampling;
       ChildIndex = I;
-      RegionActive = true;
-      SplitChildren.clear();
-      closeInheritedNetFds();
+      LeaseIndex = I;
       if (inject::armed())
         inject::tagProcess(mixSeed(TpId, (RegionCounter << 20) +
                                              static_cast<uint64_t>(I)));
@@ -1237,12 +1254,104 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
                 static_cast<uint64_t>(ChildIndex));
       return;
     }
-    uint64_t ForkNs = static_cast<uint64_t>((monoNow() - ForkT0) * 1e9);
-    Ctl->recordForkLatency(ForkNs);
-    traceEmit(obs::EventKind::Fork, static_cast<uint64_t>(Pid), ForkNs);
-    S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
   }
   RegionActive = true;
+}
+
+/// Alg. 1: a sampling spawn waits only for a free slot. The wait is
+/// supervised like aggregate()'s: between slices it reaps dead children,
+/// so their leaked slots cannot starve the spawn loop, and runs the
+/// deadline step. With \p UntilDeadline (a fork-mode sample or spare,
+/// which has no use past its region's deadline) it gives up once the
+/// deadline has passed, whoever holds the slots, so a region whose
+/// samples queue here still ends on time. Returns whether it holds a
+/// slot.
+bool Runtime::admitSampler(int SlotIdx, bool UntilDeadline) {
+  while (!(UntilDeadline && regionDeadlinePassed())) {
+    if (Ctl->acquireSlotTimed(/*IsTuning=*/false, 50)) {
+      traceEmit(obs::EventKind::SchedAdmit, 0, static_cast<uint64_t>(SlotIdx));
+      return true;
+    }
+    traceEmit(obs::EventKind::SchedDefer, 0, static_cast<uint64_t>(SlotIdx));
+    sweepChildren();
+    enforceDeadline();
+  }
+  return false;
+}
+
+/// Settles child slot \p Idx, whose process never existed (its fork
+/// failed, or the region deadline came first) and which holds no pool
+/// slot: its barrier share goes back, so a @sync does not wait for it,
+/// and the reaper skips it.
+void Runtime::settleUnforked(int Idx) {
+  if (slotsOf(Table)[Idx].BarrierLeft.exchange(1, std::memory_order_relaxed) ==
+      0)
+    Ctl->barrierLeave(BarrierSlot);
+  Reaped[Idx] = 1;
+}
+
+/// Forks the process of child slot \p SlotIdx onto the pool slot the
+/// caller was just admitted to (fork-mode samples and pool workers share
+/// this path). In the child it returns 0 in sampling mode; in the parent,
+/// the pid, once recorded. When fork(2) fails the process never existed:
+/// its pool slot and barrier share go back, the failure is counted, and
+/// it returns -1.
+pid_t Runtime::forkIntoSlot(int SlotIdx) {
+  ChildSlot &S = slotsOf(Table)[SlotIdx];
+  S.SlotHeld.store(1, std::memory_order_relaxed);
+  // Flush stdio before forking so children do not replay the parent's
+  // buffered output.
+  std::fflush(nullptr);
+  double ForkT0 = monoNow();
+  pid_t Pid = sys::forkProcess();
+  if (Pid < 0) {
+    S.SlotHeld.store(0, std::memory_order_relaxed);
+    Ctl->releaseSlot();
+    Ctl->noteForkFailure();
+    settleUnforked(SlotIdx);
+    return Pid;
+  }
+  if (Pid == 0) {
+    Mode = ModeKind::Sampling;
+    WorkerIndex = SlotIdx;
+    RegionActive = true;
+    SplitChildren.clear();
+    closeInheritedNetFds();
+    return 0;
+  }
+  uint64_t ForkNs = static_cast<uint64_t>((monoNow() - ForkT0) * 1e9);
+  Ctl->recordForkLatency(ForkNs);
+  traceEmit(obs::EventKind::Fork, static_cast<uint64_t>(Pid), ForkNs);
+  S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
+  return Pid;
+}
+
+/// Maps a region's zero-filled shared table: \p Slots child slots, each
+/// holding no lease and owing no barrier leave, then \p Regions * \p N
+/// lease cells for regions \p Base onward, each Pending and unattempted.
+void Runtime::mapRegionTable(uint64_t Base, int Regions, int N, int Slots) {
+  int Leases = Regions * N;
+  TableBytes = sizeof(RegionTable) +
+               static_cast<size_t>(Slots) * sizeof(ChildSlot) +
+               static_cast<size_t>(Leases) * sizeof(LeaseCell);
+  void *Mem = sys::mmapShared(TableBytes);
+  if (Mem == MAP_FAILED)
+    sys::fatal("mmap of region child table (%zu bytes) failed: %s",
+               TableBytes, std::strerror(errno));
+  static_assert(LsPending == 0, "lease tables rely on the zero-filled mapping");
+  Table = static_cast<RegionTable *>(Mem);
+  Table->ParkLock.init();
+  Table->NumSlots = Slots;
+  Table->NumLeases = Leases;
+  Table->BatchCount = Regions;
+  Table->BatchN = N;
+  Table->BatchBase = Base;
+  ChildSlot *S = slotsOf(Table);
+  for (int I = 0; I != Slots; ++I) {
+    S[I].BarrierLeft.store(1, std::memory_order_relaxed);
+    S[I].CurrentLease.store(-1, std::memory_order_relaxed);
+  }
+  Reaped.assign(static_cast<size_t>(Slots), 0);
 }
 
 void Runtime::beginRegion(uint64_t Ordinal, int N, const RegionOptions &Ro) {
@@ -1280,32 +1389,14 @@ void Runtime::beginRegion(uint64_t Ordinal, int N, const RegionOptions &Ro) {
 //===----------------------------------------------------------------------===//
 
 /// Forks one pool worker into child-table slot \p SlotIdx (initial spawn
-/// and wipe-out respawns share this path). The caller has already set up
-/// the slot's barrier membership. In the child this never returns.
+/// and wipe-out respawns share this path). In the child this never
+/// returns.
 void Runtime::forkPoolWorker(int SlotIdx) {
-  ChildSlot &S = slotsOf(Table)[SlotIdx];
-  // Alg. 1: a sampling spawn waits only for a free slot; the wait is
-  // supervised so dead workers' leaked slots cannot starve it.
-  while (!Ctl->acquireSlotTimed(/*IsTuning=*/false, 50)) {
-    traceEmit(obs::EventKind::SchedDefer, 0, static_cast<uint64_t>(SlotIdx));
-    sweepChildren();
-  }
-  traceEmit(obs::EventKind::SchedAdmit, 0, static_cast<uint64_t>(SlotIdx));
-  S.SlotHeld.store(1, std::memory_order_relaxed);
-  std::fflush(nullptr);
-  double ForkT0 = monoNow();
-  pid_t Pid = sys::forkProcess();
+  admitSampler(SlotIdx, /*UntilDeadline=*/false);
+  pid_t Pid = forkIntoSlot(SlotIdx);
   if (Pid < 0) {
-    // This worker never existed: release its slot and barrier share. Its
-    // prospective leases stay with the counter for the other workers.
-    S.SlotHeld.store(0, std::memory_order_relaxed);
-    Ctl->releaseSlot();
-    if (S.BarrierLeft.exchange(1, std::memory_order_relaxed) == 0)
-      Ctl->barrierLeave(BarrierSlot);
-    S.Status.store(static_cast<int32_t>(SampleStatus::ForkFailed),
-                   std::memory_order_relaxed);
-    Ctl->noteForkFailure();
-    Reaped[SlotIdx] = 1;
+    // This worker never existed. Its prospective leases stay with the
+    // counter for the other workers.
     std::fprintf(stderr,
                  "wbtuner: fork failed for pool worker %d of region %llu "
                  "(tp %llu); continuing with fewer workers\n",
@@ -1314,12 +1405,7 @@ void Runtime::forkPoolWorker(int SlotIdx) {
     return;
   }
   if (Pid == 0) {
-    Mode = ModeKind::Sampling;
     PoolWorker = true;
-    WorkerIndex = SlotIdx;
-    RegionActive = true;
-    SplitChildren.clear();
-    closeInheritedNetFds();
     if (inject::armed())
       inject::tagProcess(mixSeed(TpId, (RegionCounter << 20) + 0xF00D +
                                            static_cast<uint64_t>(SlotIdx)));
@@ -1327,10 +1413,6 @@ void Runtime::forkPoolWorker(int SlotIdx) {
               static_cast<uint64_t>(SlotIdx));
     workerLoop(); // never returns
   }
-  uint64_t ForkNs = static_cast<uint64_t>((monoNow() - ForkT0) * 1e9);
-  Ctl->recordForkLatency(ForkNs);
-  traceEmit(obs::EventKind::Fork, static_cast<uint64_t>(Pid), ForkNs);
-  S.Pid.store(static_cast<int32_t>(Pid), std::memory_order_relaxed);
 }
 
 /// Claims one lease without blocking: a lease returned by a dead holder
@@ -1380,11 +1462,11 @@ int Runtime::tryClaimLease(bool Worker) {
   }
 }
 
-/// Worker side: clears CurrentLease once lease \p Idx has ended (or its
+/// Sampling side: clears CurrentLease once lease \p Idx has ended (or its
 /// claim lost to a deadline retirement). If the supervisor swapped in a
 /// kill mark first, the SIGKILL is on its way: wait for it here, before
-/// the worker could take any process-shared lock (the claim gate, the
-/// child-event notify) that a kill must never interrupt.
+/// the process could take any process-shared lock (the claim gate, the
+/// pool slot, the child-event notify) that a kill must never interrupt.
 void Runtime::dropLeaseMark(int Idx) {
   int32_t Expect = Idx;
   if (slotsOf(Table)[WorkerIndex].CurrentLease.compare_exchange_strong(
@@ -1423,7 +1505,7 @@ int Runtime::claimLeaseGated() {
   int N = Table->NumLeases;
   for (;;) {
     if (Me.SlotHeld.load(std::memory_order_relaxed) == 0) {
-      acquireSlotKillable();
+      pollForSlot(/*WhilePending=*/-1);
       Me.SlotHeld.store(1, std::memory_order_release);
     }
     int Idx = tryClaimLease(/*Worker=*/true);
@@ -1549,8 +1631,7 @@ bool Runtime::settlePoolLeases() {
   for (int I = 0; I != N; ++I) {
     LeaseCell &L = Leases[I];
     int32_t St = L.State.load(std::memory_order_acquire);
-    if (St == LsCommitted || St == LsPruned || St == LsCrashed ||
-        St == LsTimedOut || St == LsForkFailed)
+    if (leaseFinal(St))
       continue;
     if (NetServer && NetServer->ownsLease(I)) {
       // Remotely owned by a live agent: not ours to settle. (The busy()
@@ -1570,9 +1651,7 @@ bool Runtime::settlePoolLeases() {
               : (L.Attempts.load(std::memory_order_relaxed) == 0
                      ? LsForkFailed
                      : LsCrashed);
-      if (St == LsReturned)
-        Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
-      L.State.store(Final, std::memory_order_relaxed);
+      retireLease(I, St, Final, /*Signal=*/0);
       continue;
     }
     // A claimed lease's owner is dead (nothing is live); a pending one
@@ -1591,12 +1670,8 @@ bool Runtime::settlePoolLeases() {
   int SlotIdx = RespawnsUsed++ % Table->NumSlots;
   ChildSlot &S = slotsOf(Table)[SlotIdx];
   S.Pid.store(0, std::memory_order_relaxed);
-  S.Status.store(static_cast<int32_t>(SampleStatus::Running),
-                 std::memory_order_relaxed);
-  S.Signal.store(0, std::memory_order_relaxed);
+  S.Exiting.store(0, std::memory_order_relaxed);
   S.CurrentLease.store(-1, std::memory_order_relaxed);
-  S.BarrierLeft.store(0, std::memory_order_relaxed);
-  Ctl->barrierAdd(BarrierSlot, +1);
   Reaped[SlotIdx] = 0;
   Ctl->noteRetry();
   traceEmit(obs::EventKind::Respawn, static_cast<uint64_t>(SlotIdx));
@@ -1604,27 +1679,17 @@ bool Runtime::settlePoolLeases() {
   return false;
 }
 
-/// Region deadline in a pool region: retires the unclaimed leases of the
-/// delivering window — Pending ones (the claim's CAS then skips them) and
-/// Returned ones — as TimedOut; none of them can run inside the budget.
-/// Claimed ones follow when killStragglers() kills their workers. Later
-/// regions' leases are untouched: their own deadlines start when they
-/// are delivered.
+/// Region deadline: retires the unclaimed leases of the delivering
+/// window — Pending ones (the claim's CAS then skips them) and Returned
+/// ones — as TimedOut; none of them can run inside the budget. Claimed
+/// ones follow when killStragglers() kills their holders. Later regions'
+/// leases are untouched: their own deadlines start when they are
+/// delivered. Returns how many it retired.
 int Runtime::markLeasesTimedOut() {
-  LeaseCell *Leases = leasesOf(Table);
   int Retired = 0;
-  for (int64_t I = windowBegin(), E = I + Table->BatchN; I != E; ++I) {
-    for (int32_t From : {LsPending, LsReturned}) {
-      int32_t Expect = From;
-      if (Leases[I].State.compare_exchange_strong(
-              Expect, LsTimedOut, std::memory_order_acq_rel)) {
-        if (From == LsReturned)
-          Table->LeasesReturned.fetch_sub(1, std::memory_order_relaxed);
-        ++Retired;
-        break;
-      }
-    }
-  }
+  for (int64_t I = windowBegin(), E = I + Table->BatchN; I != E; ++I)
+    Retired += retireLease(I, LsPending, LsTimedOut, /*Signal=*/0) ||
+               retireLease(I, LsReturned, LsTimedOut, /*Signal=*/0);
   return Retired;
 }
 
@@ -1636,37 +1701,15 @@ int Runtime::markLeasesTimedOut() {
 /// seeds the pipeline's claim limit.
 void Runtime::openLeaseTable(uint64_t Base, int Regions, int N, int W,
                              int64_t ClaimInit) {
-  int Total = Regions * N;
-  TableBytes = sizeof(RegionTable) +
-               static_cast<size_t>(W) * sizeof(ChildSlot) +
-               static_cast<size_t>(Total) * sizeof(LeaseCell);
-  void *Mem = sys::mmapShared(TableBytes);
-  if (Mem == MAP_FAILED)
-    sys::fatal("mmap of region child table (%zu bytes) failed: %s",
-               TableBytes, std::strerror(errno));
-  // The anonymous mapping arrives zero-filled: every worker slot starts
-  // Running, owing a barrier leave, and every lease Pending, unattempted.
-  static_assert(static_cast<int32_t>(SampleStatus::Running) == 0 &&
-                    LsPending == 0,
-                "pool tables rely on the zero-filled mapping");
-  Table = static_cast<RegionTable *>(Mem);
-  Table->ParkLock.init();
-  Table->NumSlots = W;
+  mapRegionTable(Base, Regions, N, W);
   Table->PoolMode = 1;
-  Table->NumLeases = Total;
-  Table->BatchCount = Regions;
-  Table->BatchN = N;
-  Table->BatchBase = Base;
   Table->ClaimLimit.store(ClaimInit, std::memory_order_release);
-  ChildSlot *Slots = slotsOf(Table);
-  for (int I = 0; I != W; ++I)
-    Slots[I].CurrentLease.store(-1, std::memory_order_relaxed);
-  Reaped.assign(static_cast<size_t>(W), 0);
   TableWorkers = W;
   LeaseSlot = Ctl->acquireLeaseSlot();
   Ctl->leaseReset(LeaseSlot);
-  BarrierSlot = Ctl->acquireBarrierSlot();
-  Ctl->barrierReset(BarrierSlot, W);
+  // Workers run their leases at different times, so a pool region has no
+  // @sync barrier: no barrier slot, and no worker owes it a leave.
+  BarrierSlot = -1;
   for (int I = 0; I != W; ++I)
     forkPoolWorker(I);
 }
@@ -1782,7 +1825,6 @@ void Runtime::regionBatch(int Regions, int N, const RegionOptions &Ro,
     traceEmit(obs::EventKind::BatchEnd, Base, static_cast<uint64_t>(Regions));
 
   destroyRegionTable();
-  Ctl->releaseBarrierSlot(BarrierSlot);
   Ctl->releaseLeaseSlot(LeaseSlot);
   LeaseSlot = -1;
   RegionBody = nullptr;
@@ -1839,7 +1881,7 @@ void Runtime::spawnNetAgents() {
 
 /// Root finish(): best-effort Shutdown broadcast (an idle agent exits
 /// cleanly), then SIGKILL + reap — an agent mid-lease runs no cleanup
-/// worth waiting for.
+/// worth waiting for, and it never holds a process-shared lock.
 void Runtime::shutdownNetAgents() {
   if (NetServer) {
     NetServer->broadcastShutdown();
@@ -2086,8 +2128,10 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   // any other buffered telemetry of a killed host.
   if (Chan.connected())
     agentFlushTrace(Chan, /*Ack=*/false);
+  // No child-event notify: an agent is in no child table (the server
+  // sees its exit as EOF), and it takes no process-shared lock, so
+  // shutdownNetAgents() can SIGKILL it at any point.
   std::fflush(nullptr);
-  Ctl->childEventNotify();
   _exit(0);
 }
 
@@ -2164,15 +2208,10 @@ void Runtime::check(bool Ok) {
     // what the CommitBatch frame reports as Pruned.
     throw LeaseEnd();
   }
-  if (PoolWorker) {
-    // Prune only the current lease; the worker survives to claim the
-    // next sample index.
-    leasesOf(Table)[LeaseIndex].State.store(LsPruned,
-                                            std::memory_order_relaxed);
+  leasesOf(Table)[LeaseIndex].State.store(LsPruned, std::memory_order_relaxed);
+  // A pool worker survives to claim the next sample index.
+  if (PoolWorker)
     throw LeaseEnd();
-  }
-  slotsOf(Table)[ChildIndex].Status.store(
-      static_cast<int32_t>(SampleStatus::Pruned), std::memory_order_relaxed);
   exitChild();
 }
 
@@ -2185,8 +2224,13 @@ void Runtime::sync(const std::function<void()> &BarrierCb) {
   if (isSampling()) {
     // Rule [SYNC-S]: notify the tuning process, wait to be released. The
     // InBarrier flag lets the supervisor repair the counts if we die here.
-    Ctl->barrierArriveAndWait(BarrierSlot,
-                              &slotsOf(Table)[ChildIndex].InBarrier);
+    // The wait is on the barrier's process-shared condvar, where no kill
+    // may land, so the lease mark is given up for it and taken back once
+    // released: the deadline kills only samples that have not arrived.
+    ChildSlot &S = slotsOf(Table)[ChildIndex];
+    dropLeaseMark(ChildIndex);
+    Ctl->barrierArriveAndWait(BarrierSlot, &S.InBarrier);
+    S.CurrentLease.store(ChildIndex, std::memory_order_release);
     return;
   }
   // Rule [SYNC-T]: wait for every live child — in bounded slices, reaping
@@ -2197,8 +2241,7 @@ void Runtime::sync(const std::function<void()> &BarrierCb) {
   RegionUsedSync = true;
   while (!Ctl->barrierWaitAllTimed(BarrierSlot, 50)) {
     sweepChildren();
-    if (regionDeadlinePassed())
-      killStragglers();
+    enforceDeadline();
   }
   if (BarrierCb)
     BarrierCb();
@@ -2282,19 +2325,15 @@ void Runtime::aggregate(const std::string &Var,
     // is atomic under either backend (slab publish word / temp file +
     // rename), so dying mid-write can never leave a torn record that
     // committed() would count. The payload lands before the Committed
-    // status store, so the tuning-side folding sweep never sees a
-    // Committed child whose aggregate() variable is missing.
+    // lease store, so the tuning-side folding sweep never sees a
+    // Committed sample whose aggregate() variable is missing.
     commitBytes(Var, Bytes);
-    if (PoolWorker) {
-      // The lease is done, not the worker: publish completion and unwind
-      // back into workerLoop() for the next sample index.
-      leasesOf(Table)[LeaseIndex].State.store(LsCommitted,
-                                              std::memory_order_release);
+    leasesOf(Table)[LeaseIndex].State.store(LsCommitted,
+                                            std::memory_order_release);
+    // The lease is done, not a pool worker: unwind back into
+    // workerLoop() for the next sample index.
+    if (PoolWorker)
       throw LeaseEnd();
-    }
-    slotsOf(Table)[ChildIndex].Status.store(
-        static_cast<int32_t>(SampleStatus::Committed),
-        std::memory_order_release);
     exitChild();
   }
   // Rule [AGGR-T]: supervise the children until all have terminated —
@@ -2308,27 +2347,22 @@ void Runtime::aggregate(const std::string &Var,
   // A pool region is one delivery of regionBatch(): it waits only for
   // its own region's lease window to settle — workers are meanwhile
   // already sampling the next regions, which is the whole point. The
-  // batch's last delivery also waits for the workers to exit, and then
-  // requires every lease to be terminal: all workers exiting with leases
-  // still open (a wipe-out) makes settlePoolLeases() return the orphans
-  // and fork a replacement worker.
+  // batch's last delivery (a fork-mode region's only one) also waits
+  // for the children to exit; in a pool region it then requires every
+  // lease to be terminal: all workers exiting with leases still open (a
+  // wipe-out) makes settlePoolLeases() return the orphans and fork a
+  // replacement worker.
   bool Pool = Table->PoolMode != 0;
-  size_t WindowN = Pool ? static_cast<size_t>(Table->BatchN) : 0;
-  size_t W0 = Pool ? static_cast<size_t>(RegionCounter - Table->BatchBase) *
-                         WindowN
-                   : 0;
+  size_t WindowN = static_cast<size_t>(Table->BatchN);
+  size_t W0 = static_cast<size_t>(windowBegin());
   bool LastDelivery =
-      !Pool || RegionCounter + 1 ==
-                   Table->BatchBase + static_cast<uint64_t>(Table->BatchCount);
-  auto windowSettled = [&]() {
-    LeaseCell *Leases = leasesOf(Table);
-    for (size_t I = W0, E = W0 + WindowN; I != E; ++I) {
-      int32_t St = Leases[I].State.load(std::memory_order_acquire);
-      if (St != LsCommitted && St != LsPruned && St != LsCrashed &&
-          St != LsTimedOut && St != LsForkFailed)
-        return false;
-    }
-    return true;
+      RegionCounter + 1 ==
+      Table->BatchBase + static_cast<uint64_t>(Table->BatchCount);
+  LeaseCell *Window = leasesOf(Table) + W0;
+  auto windowSettled = [&] {
+    return std::all_of(Window, Window + WindowN, [](const LeaseCell &L) {
+      return leaseFinal(L.State.load(std::memory_order_acquire));
+    });
   };
   for (;;) {
     // Snapshot the event counter before the sweep: an exit event posted
@@ -2348,26 +2382,11 @@ void Runtime::aggregate(const std::string &Var,
         break;
       continue;
     }
-    if (regionDeadlinePassed()) {
-      // Retire the window's unclaimed leases first, so no worker can
-      // claim one after the kill pass has looked at it.
-      int Acted = Pool ? markLeasesTimedOut() : 0;
-      Acted += killStragglers();
-      // Remotely owned leases retire through the Return callback, which
-      // dropping the connections runs (the window's past-deadline
-      // returns retire, later windows' go back to the pool); that also
-      // unblocks the settle gate above. The agents reconnect on their
-      // own.
-      if (NetServer && NetServer->regionOpen() && NetServer->busy()) {
-        NetServer->dropConnections();
-        ++Acted;
-      }
-      // Nothing left to retire or kill: the rest of the window is
-      // settling (or, in a pool region, the other workers are outside
-      // it), so wait for events instead of spinning.
-      if (Acted)
-        continue;
-    }
+    // Once nothing is left to retire or kill, the rest of the window is
+    // settling (or, in a pool region, the other workers are outside it),
+    // so wait for events instead of spinning.
+    if (enforceDeadline())
+      continue;
     if (NetServer && NetServer->regionOpen()) {
       // One poll covers agent frames, new connections, AND the local
       // child-event fd, so local wakeups keep their sub-50ms latency.
@@ -2379,24 +2398,13 @@ void Runtime::aggregate(const std::string &Var,
   }
   discardSpares();
 
-  std::vector<AggregationView::SampleRecord> Records;
-  if (Pool) {
-    // Pool mode reports per-sample records from this region's window of
-    // the lease table; the worker slots are an execution detail.
-    Records.resize(WindowN);
-    LeaseCell *Leases = leasesOf(Table) + W0;
-    for (size_t I = 0, E = Records.size(); I != E; ++I) {
-      Records[I].Status =
-          leaseSampleStatus(Leases[I].State.load(std::memory_order_acquire));
-      Records[I].Signal = Leases[I].Signal.load(std::memory_order_relaxed);
-    }
-  } else {
-    Records.resize(static_cast<size_t>(Table->NumSlots));
-    ChildSlot *Slots = slotsOf(Table);
-    for (size_t I = 0, E = Records.size(); I != E; ++I) {
-      Records[I].Status = statusOf(Slots[I]);
-      Records[I].Signal = Slots[I].Signal.load(std::memory_order_relaxed);
-    }
+  // Per-sample records come from this region's window of the lease
+  // table; the child slots are an execution detail.
+  std::vector<AggregationView::SampleRecord> Records(WindowN);
+  for (size_t I = 0; I != WindowN; ++I) {
+    Records[I].Status =
+        leaseSampleStatus(Window[I].State.load(std::memory_order_acquire));
+    Records[I].Signal = Window[I].Signal.load(std::memory_order_relaxed);
   }
   // Final folding pass with every lease of this window terminal (their
   // publishing stores ordered before our acquire loads above): first the
@@ -2464,8 +2472,16 @@ bool Runtime::split() {
   assert(Inited && "split() before init()");
   assert(isTuning() && "rule [SPLIT] applies to tuning processes only");
   Ctl->tuningProcessForked();
-  // Alg. 1: a tuning spawn waits for the 75% gate.
-  Ctl->acquireSlot(/*IsTuning=*/true);
+  // Alg. 1: a tuning spawn waits for the 75% gate, in bounded slices.
+  // Between them it reaps split children that died without finish(),
+  // whose slots only come back through their parent, and — when called
+  // from a pool delivery — the batch's dead workers, whose slots only
+  // this supervisor reclaims.
+  while (!Ctl->acquireSlotTimed(/*IsTuning=*/true, 50)) {
+    reapSplitChildren(/*Block=*/false);
+    if (Table)
+      sweepChildren();
+  }
   traceEmit(obs::EventKind::SchedAdmit, /*Tuning=*/1);
   std::fflush(nullptr); // keep buffered stdio out of the child
   double ForkT0 = monoNow();
@@ -2504,11 +2520,7 @@ bool Runtime::split() {
   // The parent's live region (we are usually forked from inside its
   // aggregation callback) is not ours to supervise: drop our view of its
   // child table and barrier.
-  if (Table) {
-    munmap(Table, TableBytes);
-    Table = nullptr;
-    TableBytes = 0;
-  }
+  destroyRegionTable();
   Reaped.clear();
   NumSpares = 0;
   BarrierSlot = -1;

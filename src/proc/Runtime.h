@@ -33,9 +33,10 @@
 /// Failure semantics: sampling processes are disposable, and the tuning
 /// process supervises them. A child that crashes (signal, nonzero exit),
 /// is killed by the optional per-region wall-clock timeout, or whose
-/// fork(2) failed outright is reaped by the supervisor inside sync() and
-/// aggregate(): its pool slot is reclaimed, the region barrier's expected
-/// count is repaired, and its terminal SampleStatus is surfaced through
+/// fork(2) failed outright is reaped by the supervisor in every wait of
+/// its region (the spawn loop, sync() and aggregate()): its pool slot is
+/// reclaimed, the region barrier's expected count is repaired, and the
+/// terminal SampleStatus of its sample lease is surfaced through
 /// AggregationView. An opt-in retry policy (RuntimeOptions::MaxRetries)
 /// pre-forks spare sampling processes that park before the region body and
 /// replace crashed/timed-out samples with fresh RNG streams. One bad
@@ -120,11 +121,13 @@ enum class SampleStatus : int32_t {
   Running = 0,
   /// Committed its result through aggregate()/commitExtra().
   Committed,
-  /// Exited voluntarily without committing (@check pruned it).
+  /// Exited voluntarily without committing (@check pruned it, or the body
+  /// returned or exited 0 before aggregate()).
   Pruned,
   /// Died abnormally (signal or nonzero exit); see crashSignal().
   Crashed,
-  /// Killed by the supervisor after the region wall-clock timeout.
+  /// Killed by the supervisor after the region wall-clock timeout, or
+  /// never started before it passed.
   TimedOut,
   /// fork(2) failed; the sample never existed.
   ForkFailed,
@@ -154,8 +157,9 @@ struct RuntimeOptions {
   /// Keep the run directory on finish() (debugging).
   bool KeepFiles = false;
   /// Per-region wall-clock budget in seconds; stragglers are SIGKILLed
-  /// and reported as SampleStatus::TimedOut. 0 disables the timeout.
-  /// Overridable per region via RegionOptions::TimeoutSec.
+  /// and reported as SampleStatus::TimedOut, like samples still waiting
+  /// for a pool slot when it passes (they are never forked). 0 disables
+  /// the timeout. Overridable per region via RegionOptions::TimeoutSec.
   double SampleTimeoutSec = 0.0;
   /// Spare sampling processes pre-forked per region; each crashed or
   /// timed-out sample is replaced by one spare (fresh RNG stream) until
@@ -199,6 +203,13 @@ struct RuntimeOptions {
   /// local/remote regions aggregate bitwise-identically. Root tuning
   /// process only; worker-pool regions (samplingRegion / regionBatch)
   /// only. 0 disables the net path entirely.
+  ///
+  /// Agents run the body closure they were forked with (the first pool
+  /// region's) for the rest of the run: the leases of every later pool
+  /// region that they claim run that body, whatever body the region
+  /// passed. A run with agents gives all its pool regions one body that
+  /// branches on regionOrdinal(). DESIGN.md, "Distributed sampling
+  /// agents", says why agents are not forked per batch.
   unsigned NetAgents = 0;
   /// Listen address of the lease server (localhost simulation by
   /// default; the protocol itself does not care where agents run).
@@ -605,25 +616,41 @@ private:
   /// \p Ack (the answer to RegionClose) goes out even when it is empty.
   void agentFlushTrace(net::AgentChannel &Chan, bool Ack);
   [[noreturn]] void exitChild();
-  /// Spare child: blocks until activated (returns, to run the region body)
-  /// or discarded (_exits, never returns).
+  /// Spare child: blocks until activated (returns, to run the region body
+  /// on its claimed lease) or discarded (_exits, never returns).
   void parkAsSpare(int Idx);
-  /// Takes a sampling slot in a process the supervisor may SIGKILL at the
-  /// region deadline while it waits (an activated spare or a gated pool
-  /// worker).
-  void acquireSlotKillable();
+  /// Takes a sampling slot outside user code, polling; gives up (false)
+  /// once lease \p WhilePending (-1: none) is no longer Pending.
+  bool pollForSlot(int WhilePending);
+  /// Reaps exited @split children (all of them, waiting, when \p Block),
+  /// reclaiming the accounting of any that died before finish().
+  void reapSplitChildren(bool Block);
 
   // Supervisor internals (tuning side of a live region).
   bool reapOne(int Idx, bool Block);
   int sweepChildren();
-  /// Region deadline: SIGKILLs the children still running the region
-  /// body (in a pool region, the workers holding a lease of the
-  /// delivering window). Returns how many it killed.
+  /// Region deadline: SIGKILLs the processes holding a claimed lease of
+  /// the delivering window, each claimed through a kill mark first.
+  /// Returns how many it killed.
   int killStragglers();
   bool regionDeadlinePassed() const;
+  /// The deadline step of every tuning-side wait: markLeasesTimedOut()
+  /// plus killStragglers() plus dropping remote holders, once the
+  /// deadline has passed. Returns how much it acted on.
+  int enforceDeadline();
   bool activateSpare();
   void discardSpares();
   void destroyRegionTable();
+  /// Maps a region's shared table: \p Slots child slots, then the lease
+  /// cells of \p Regions regions of \p N samples from ordinal \p Base.
+  void mapRegionTable(uint64_t Base, int Regions, int N, int Slots);
+  /// Supervised wait for child slot \p SlotIdx's pool slot; with
+  /// \p UntilDeadline, gives up (false) once the region deadline passed.
+  bool admitSampler(int SlotIdx, bool UntilDeadline);
+  void settleUnforked(int Idx);
+  /// Forks the process of child slot \p SlotIdx: 0 in the child, its pid
+  /// in the parent, -1 (accounted) when fork(2) fails.
+  pid_t forkIntoSlot(int SlotIdx);
   /// Opens region \p Ordinal on the tuning side: store path, fresh fold
   /// state, store-counter watermarks, latency clock, deadline, and the
   /// RegionBegin trace point. Shared by sampling() and every delivery of
@@ -645,6 +672,7 @@ private:
   void forkPoolWorker(int SlotIdx);
   bool returnOrRetireLease(int Idx, int32_t From, bool Timed,
                            int32_t Signal);
+  bool retireLease(int64_t Idx, int32_t From, int32_t Final, int32_t Signal);
   bool settlePoolLeases();
   /// Retires the delivering window's unclaimed leases as TimedOut.
   /// Returns how many it retired.

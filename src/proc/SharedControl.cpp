@@ -272,31 +272,6 @@ void SharedControl::init(unsigned MaxPool, bool UseScheduler,
 // Pool
 //===----------------------------------------------------------------------===//
 
-void SharedControl::acquireSlot(bool IsTuning) {
-  assert(Layout && "shared control not initialized");
-  if (!Layout->UseScheduler)
-    return;
-  pthread_mutex_lock(&Layout->PoolLock.Mutex);
-  for (;;) {
-    // Alg. 1 line 8: sampling threshold is 0; tuning threshold is 75% of
-    // the pool ("it has to wait if 25% processes are occupied"). The slot
-    // the requesting tuning process itself holds is not occupancy: counting
-    // it makes the gate unsatisfiable for MaxPool <= 4 (FreeSlots can never
-    // exceed MaxPool - 1 while the caller is alive), and split() hangs
-    // forever. Crediting the caller's slot also subsumes the old
-    // idle-pool escape, so progress on an otherwise idle pool still holds.
-    double Threshold =
-        IsTuning ? 0.75 * static_cast<double>(Layout->MaxPool) : 0.0;
-    double Free =
-        static_cast<double>(Layout->FreeSlots) + (IsTuning ? 1.0 : 0.0);
-    if (Free > Threshold)
-      break;
-    pthread_cond_wait(&Layout->PoolLock.Cond, &Layout->PoolLock.Mutex);
-  }
-  --Layout->FreeSlots;
-  pthread_mutex_unlock(&Layout->PoolLock.Mutex);
-}
-
 bool SharedControl::acquireSlotTimed(bool IsTuning, int TimeoutMs) {
   assert(Layout && "shared control not initialized");
   if (!Layout->UseScheduler)
@@ -305,7 +280,13 @@ bool SharedControl::acquireSlotTimed(bool IsTuning, int TimeoutMs) {
   pthread_mutex_lock(&Layout->PoolLock.Mutex);
   bool Taken = false;
   for (;;) {
-    // Same gate as acquireSlot(), caller's own tuning slot excluded.
+    // Alg. 1 line 8: sampling threshold is 0; tuning threshold is 75% of
+    // the pool ("it has to wait if 25% processes are occupied"). The slot
+    // the requesting tuning process itself holds is not occupancy: counting
+    // it makes the gate unsatisfiable for MaxPool <= 4 (FreeSlots can never
+    // exceed MaxPool - 1 while the caller is alive), and split() hangs
+    // forever. Crediting the caller's slot also subsumes the old
+    // idle-pool escape, so progress on an otherwise idle pool still holds.
     double Threshold =
         IsTuning ? 0.75 * static_cast<double>(Layout->MaxPool) : 0.0;
     double Free =
@@ -357,13 +338,6 @@ void SharedControl::tuningProcessExited() {
   pthread_mutex_lock(&Layout->TpLock.Mutex);
   --Layout->LiveTps;
   pthread_cond_broadcast(&Layout->TpLock.Cond);
-  pthread_mutex_unlock(&Layout->TpLock.Mutex);
-}
-
-void SharedControl::waitLiveTuningProcesses(int Remaining) {
-  pthread_mutex_lock(&Layout->TpLock.Mutex);
-  while (Layout->LiveTps > Remaining)
-    pthread_cond_wait(&Layout->TpLock.Cond, &Layout->TpLock.Mutex);
   pthread_mutex_unlock(&Layout->TpLock.Mutex);
 }
 
@@ -486,14 +460,6 @@ void SharedControl::barrierReclaimDead(int Slot,
   pthread_mutex_unlock(&B.Lock.Mutex);
 }
 
-void SharedControl::barrierWaitAll(int Slot) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  while (B.Arrived < B.Expected)
-    pthread_cond_wait(&B.Lock.Cond, &B.Lock.Mutex);
-  pthread_mutex_unlock(&B.Lock.Mutex);
-}
-
 bool SharedControl::barrierWaitAllTimed(int Slot, int TimeoutMs) {
   Barrier &B = Layout->Barriers[Slot];
   timespec Deadline = deadlineIn(TimeoutMs);
@@ -597,10 +563,6 @@ uint64_t SharedControl::childEventCount() const {
   uint64_t C = Layout->ChildEvents;
   pthread_mutex_unlock(&Layout->ChildEventLock.Mutex);
   return C;
-}
-
-void SharedControl::childEventWaitTimed(int TimeoutMs) {
-  childEventWaitTimed(TimeoutMs, childEventCount());
 }
 
 void SharedControl::childEventWaitTimed(int TimeoutMs, uint64_t Seen) {

@@ -126,13 +126,12 @@ public:
   // Process pool (paper Alg. 1 across real processes).
   //===--------------------------------------------------------------------===
 
-  /// Blocks until a pool slot is free; \p IsTuning applies the 75% gate.
-  void acquireSlot(bool IsTuning);
-  /// Bounded acquireSlot(): waits at most \p TimeoutMs and returns whether
-  /// a slot was taken. Lets the supervised spawn loop in sampling() reap
-  /// dead children (reclaiming their leaked slots) between attempts.
-  /// \p TimeoutMs == 0 makes one attempt that never waits on the pool's
-  /// condvar.
+  /// Takes a pool slot, waiting at most \p TimeoutMs; returns whether a
+  /// slot was taken. \p IsTuning applies the 75% gate. Every caller waits
+  /// in bounded slices, so a supervised loop (the spawn loops, split())
+  /// can reap dead children — reclaiming their leaked slots — between
+  /// attempts. \p TimeoutMs == 0 makes one attempt that never waits on
+  /// the pool's condvar.
   bool acquireSlotTimed(bool IsTuning, int TimeoutMs);
   /// Returns a slot to the pool.
   void releaseSlot();
@@ -149,10 +148,8 @@ public:
   /// Called by a tuning process when it finishes (or by its parent on its
   /// behalf when it died without reaching finish()).
   void tuningProcessExited();
-  /// Blocks until only \p Remaining tuning processes are alive.
-  void waitLiveTuningProcesses(int Remaining);
-  /// Bounded variant: waits at most \p TimeoutMs; returns true once only
-  /// \p Remaining tuning processes are alive.
+  /// Waits at most \p TimeoutMs; returns true once only \p Remaining
+  /// tuning processes are alive.
   bool waitLiveTuningProcessesTimed(int Remaining, int TimeoutMs);
   int liveTuningProcesses() const;
   /// Draws a fresh unique tuning-process id.
@@ -183,10 +180,8 @@ public:
   void barrierReset(int Slot, int Expected);
   /// Tuning side: grow/shrink the expected count (retry respawns).
   void barrierAdd(int Slot, int Delta);
-  /// Tuning side: block until every still-live child has arrived.
-  void barrierWaitAll(int Slot);
-  /// Bounded variant of barrierWaitAll(): waits at most \p TimeoutMs and
-  /// returns true once the barrier is satisfied.
+  /// Tuning side: waits at most \p TimeoutMs for every still-live child
+  /// to arrive; returns true once the barrier is satisfied.
   bool barrierWaitAllTimed(int Slot, int TimeoutMs);
   /// Tuning side: open the next generation, releasing every waiter.
   void barrierRelease(int Slot);
@@ -236,15 +231,13 @@ public:
   /// process wakes promptly from childEventWaitTimed().
   void childEventNotify();
   /// Current value of the event counter. Snapshot this *before* sweeping
-  /// children, then pass it to the counted childEventWaitTimed overload:
-  /// an event posted during the sweep then returns immediately instead of
-  /// being lost until the next event or timeout.
+  /// children, then pass it to childEventWaitTimed(): an event posted
+  /// during the sweep then returns immediately instead of being lost
+  /// until the next event or timeout.
   uint64_t childEventCount() const;
-  /// Sleeps until the next child event or \p TimeoutMs, whichever first.
+  /// Sleeps until the event counter advances past \p Seen (a
+  /// childEventCount() snapshot) or \p TimeoutMs passes, whichever first.
   /// Abnormal deaths emit no event, so callers must re-poll on timeout.
-  void childEventWaitTimed(int TimeoutMs);
-  /// Like the above, but returns immediately if the counter has already
-  /// advanced past \p Seen (a childEventCount() snapshot).
   void childEventWaitTimed(int TimeoutMs, uint64_t Seen);
 
   /// An eventfd mirrored with the child-event condvar: childEventNotify()

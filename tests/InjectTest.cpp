@@ -388,7 +388,7 @@ TEST(InjectSys, RecvFaultLeavesStreamIntact) {
 /// Satellite bug #1, site (a): finish() reaping split children. An EINTR
 /// storm on every waitpid used to skip the reap (zombie) and, for a
 /// split child that died early, skip its accounting reclamation — the
-/// root then hung in waitLiveTuningProcesses(). With sys::waitPid the
+/// root then hung in finish(). With sys::waitPid the
 /// storm is absorbed and the run tears down completely.
 int scenarioSplitReapSurvivesEintrStorm() {
   Runtime &Rt = Runtime::get();

@@ -8,7 +8,8 @@
 //   - draws are bitwise-identical to fork-per-sample mode (Random and
 //     Stratified), the region-mode equivalence the optimization promises,
 //   - stratified coverage holds even when N > workers,
-//   - check() prunes one lease and the worker survives,
+//   - check() prunes one lease and the worker survives, and a body that
+//     _exit(0)s prunes its lease as a fork-per-sample child's does,
 //   - a SIGKILLed worker's lease is returned and re-run to completion,
 //     also when the workers outlive the region inside one regionBatch(),
 //   - the regions of one regionBatch() draw bitwise like fork-per-sample
@@ -483,6 +484,54 @@ int scenarioPoolForkFailureFewerWorkers() {
   return 0;
 }
 
+int scenarioExitZeroPrunesLikeForkSampling() {
+  // A sample whose body _exit(0)s reached neither check() nor aggregate():
+  // in both region paths that is a voluntary prune of its lease. A pool
+  // must not take the clean exit for a crash and re-run the lease, which
+  // would only exit again.
+  for (bool Pool : {false, true}) {
+    Runtime &Rt = Runtime::get();
+    RuntimeOptions Opts;
+    Opts.MaxPool = 8;
+    Opts.Seed = 49;
+    Opts.Backend = StoreBackend::Shm;
+    Rt.init(Opts);
+
+    const int N = 6;
+    int Committed = -1, Pruned = -1;
+    SampleStatus Exited = SampleStatus::Running;
+    auto Body = [&] {
+      double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+      if (Rt.isSampling() && Rt.sampleIndex() == 2)
+        _exit(0);
+      if (Rt.isSampling())
+        Rt.aggregate("x", encodeDouble(X), nullptr);
+      Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+        Committed = V.countStatus(SampleStatus::Committed);
+        Pruned = V.countStatus(SampleStatus::Pruned);
+        Exited = V.status(2);
+      });
+    };
+    if (Pool) {
+      RegionOptions Ro;
+      Ro.Workers = 2;
+      Rt.samplingRegion(N, Ro, Body);
+    } else {
+      Rt.sampling(N);
+      Body();
+    }
+    uint64_t Crashes = Rt.crashedSamples(), Reclaims = Rt.leaseReclaims();
+    Rt.finish();
+    int Base = Pool ? 20 : 10;
+    CHECK_OR(Committed == N - 1, Base + 1);
+    CHECK_OR(Pruned == 1, Base + 2);
+    CHECK_OR(Exited == SampleStatus::Pruned, Base + 3);
+    CHECK_OR(Crashes == 0, Base + 4);
+    CHECK_OR(Reclaims == 0, Base + 5);
+  }
+  return 0;
+}
+
 } // namespace
 
 TEST(ProcPoolTest, PoolCommitsAllSamples) {
@@ -545,4 +594,8 @@ TEST(ProcPoolTest, BatchMatchesForkSamplingStratified) {
 
 TEST(ProcPoolTest, Batch1KilledWorkerLeaseRerun) {
   EXPECT_EQ(runScenario(scenarioBatch1KilledWorkerLeaseRerun), 0);
+}
+
+TEST(ProcPoolTest, ExitZeroPrunesLikeForkSampling) {
+  EXPECT_EQ(runScenario(scenarioExitZeroPrunesLikeForkSampling), 0);
 }

@@ -16,6 +16,7 @@
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <vector>
 
 using namespace wbt;
 using namespace wbt::proc;
@@ -52,6 +54,13 @@ int runScenario(int (*Scenario)()) {
     if (!(COND))                                                               \
       return CODE;                                                             \
   } while (false)
+
+/// CLOCK_MONOTONIC now, in seconds.
+double monoSeconds() {
+  timespec T;
+  clock_gettime(CLOCK_MONOTONIC, &T);
+  return static_cast<double>(T.tv_sec) + static_cast<double>(T.tv_nsec) * 1e-9;
+}
 
 /// A counter shared across processes, owned by the test: the scenarios
 /// below check what sampling children and @split tuning processes did
@@ -596,6 +605,55 @@ int scenarioSplitInsidePoolRegions() {
   return 0;
 }
 
+int scenarioSplitInDeliveryAfterDeadWorker() {
+  // split() from a pool delivery's callback on MaxPool 4 while a worker
+  // of the batch dies holding a region-2 lease, after region 1's
+  // delivery loop has reaped for the last time. That worker's pool slot
+  // comes back only when this tuning process reaps it, so the gate must
+  // sweep the batch's children between its waits, or the root and its
+  // two slots would wait at the gate for good. The alarm turns a
+  // regressed deadlock into a fast signal death.
+  alarm(10);
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 4;
+  Opts.Seed = 33;
+  Rt.init(Opts);
+
+  const int N = 4;
+  RegionOptions Ro;
+  Ro.Workers = 3;
+  Ro.Pipeline = 2;
+  bool Child = false;
+  std::vector<int> Committed;
+  Rt.regionBatch(2, N, Ro, [&] {
+    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling() && Rt.regionOrdinal() == 2 &&
+        Rt.sampleIndex() == 0 && Rt.sampleAttempt() == 1) {
+      usleep(50000); // dies while region 1's callback runs
+      raise(SIGKILL);
+    }
+    if (Rt.isSampling())
+      Rt.aggregate("x", encodeDouble(X), nullptr);
+    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+      Committed.push_back(V.countStatus(SampleStatus::Committed));
+      // Only the root splits: the child runs region 2 as a batch of its
+      // own, whose ordinal is 1 again.
+      if (Rt.regionOrdinal() == 1 && Rt.tuningProcessId() == 0) {
+        usleep(100000);
+        Child = Rt.split();
+      }
+    });
+  });
+  if (Child)
+    Rt.finishAndExit();
+  Rt.finish();
+  CHECK_OR(Committed.size() == 2, 2);
+  CHECK_OR(Committed[0] == N && Committed[1] == N, 3);
+  alarm(0);
+  return 0;
+}
+
 int scenarioSplitOnSmallPool() {
   // Regression: the tuning gate used to count the caller's own held slot
   // as occupancy, so with MaxPool <= 4 FreeSlots could never exceed the
@@ -617,6 +675,35 @@ int scenarioSplitOnSmallPool() {
     usleep(1000);
   CHECK_OR(Cells[1].Max.load() == 7, 2);
   Rt.finish();
+  alarm(0);
+  return 0;
+}
+
+int scenarioSplitAfterDeadSplitChild() {
+  // MaxPool 4: the root and one split child fill the 75% gate. The first
+  // split child abort()s without finish(), leaving its pool slot and its
+  // live-tuning-process count behind; only its parent can reclaim them,
+  // so the second split() must reap it while it waits at the gate rather
+  // than wait for a slot that never comes back. The alarm turns a
+  // regressed deadlock into a fast signal death.
+  alarm(5);
+  SharedCell *Cells = mapSharedCells();
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 4;
+  Opts.Seed = 16;
+  Rt.init(Opts);
+
+  if (Rt.split())
+    abort();
+  if (Rt.split()) {
+    Cells[2].add(1);
+    Rt.finishAndExit();
+  }
+  while (Cells[2].count() < 1)
+    usleep(1000);
+  Rt.finish();
+  CHECK_OR(Cells[2].count() == 1, 2);
   alarm(0);
   return 0;
 }
@@ -712,6 +799,14 @@ int scenarioConsecutiveSyncBarriers() {
 
 TEST(ProcRuntimeTest, SplitCompletesOnSmallPool) {
   EXPECT_EQ(runScenario(scenarioSplitOnSmallPool), 0);
+}
+
+TEST(ProcRuntimeTest, SplitInDeliveryAfterDeadWorker) {
+  EXPECT_EQ(runScenario(scenarioSplitInDeliveryAfterDeadWorker), 0);
+}
+
+TEST(ProcRuntimeTest, SplitAfterDeadSplitChild) {
+  EXPECT_EQ(runScenario(scenarioSplitAfterDeadSplitChild), 0);
 }
 
 TEST(ProcRuntimeTest, SplitInsidePoolRegions) {
@@ -901,6 +996,145 @@ int scenarioAbortPlusTimeout() {
   return 0;
 }
 
+int scenarioDeadlineAtAdmissionGate() {
+  // MaxPool 3 runs two samples beside the root, so samples 2 and 3 queue
+  // at the admission gate behind samples 0 and 1, which sleep far past
+  // the region budget. The spawn loop runs the deadline step while it
+  // waits: the sleepers are killed as TimedOut, the queued samples retire
+  // TimedOut without ever being forked, and the region resolves on time
+  // with no sample Crashed.
+  alarm(20);
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 3;
+  Opts.Seed = 26;
+  Rt.init(Opts);
+
+  int FreeBefore = Rt.freeSlots();
+  const int N = 4;
+  RegionOptions Ro;
+  Ro.TimeoutSec = 0.15;
+  double T0 = monoSeconds();
+  Rt.sampling(N, Ro);
+  double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+  if (Rt.isSampling()) {
+    if (Rt.sampleIndex() < 2)
+      sleep(2); // far past the budget; SIGKILL arrives first
+    Rt.aggregate("x", encodeDouble(X), nullptr);
+  }
+  int TimedOut = -1, Crashed = -1;
+  Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+    TimedOut = V.countStatus(SampleStatus::TimedOut);
+    Crashed = V.countStatus(SampleStatus::Crashed);
+  });
+  double Elapsed = monoSeconds() - T0;
+  CHECK_OR(Elapsed < 1.0, 2);
+  CHECK_OR(Crashed == 0, 3);
+  CHECK_OR(TimedOut == N, 4);
+  CHECK_OR(Rt.timedOutSamples() == static_cast<uint64_t>(N), 5);
+  CHECK_OR(Rt.crashedSamples() == 0, 6);
+  CHECK_OR(Rt.freeSlots() == FreeBefore, 7);
+  Rt.finish();
+  alarm(0);
+  return 0;
+}
+
+int scenarioDeadlineAtGateLeavesSyncBarrier() {
+  // MaxPool 4 runs three samples beside the root: sample 0 sleeps past
+  // the region budget, samples 1 and 2 wait at @sync, and sample 3
+  // queues at the admission gate. At the deadline sample 0 is killed and
+  // sample 3 retires unforked; both must leave the barrier's expected
+  // set, or the root's sync() waits for them for good. Released past the
+  // deadline, samples 1 and 2 race its next enforcement to their commit,
+  // so either outcome counts. The alarm turns a regressed deadlock into
+  // a fast signal death.
+  alarm(10);
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 4;
+  Opts.Seed = 28;
+  Rt.init(Opts);
+
+  int FreeBefore = Rt.freeSlots();
+  const int N = 4;
+  RegionOptions Ro;
+  Ro.TimeoutSec = 0.2;
+  double T0 = monoSeconds();
+  Rt.sampling(N, Ro);
+  (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
+  if (Rt.isSampling() && Rt.sampleIndex() == 0) {
+    sleep(2); // far past the budget; SIGKILL arrives first
+    abort();
+  }
+  Rt.sync(nullptr);
+  if (Rt.isSampling())
+    Rt.aggregate("done", encodeDouble(1), nullptr);
+  int Committed = -1, TimedOut = -1;
+  SampleStatus First = SampleStatus::Running, Last = SampleStatus::Running;
+  Rt.aggregate("done", encodeDouble(0), [&](AggregationView &V) {
+    Committed = V.countStatus(SampleStatus::Committed);
+    TimedOut = V.countStatus(SampleStatus::TimedOut);
+    First = V.status(0);
+    Last = V.status(N - 1);
+  });
+  CHECK_OR(monoSeconds() - T0 < 1.5, 2);
+  CHECK_OR(First == SampleStatus::TimedOut, 3);
+  CHECK_OR(Last == SampleStatus::TimedOut, 4);
+  CHECK_OR(Committed + TimedOut == N, 5);
+  CHECK_OR(Rt.crashedSamples() == 0, 6);
+  CHECK_OR(Rt.freeSlots() == FreeBefore, 7);
+  Rt.finish();
+  alarm(0);
+  return 0;
+}
+
+int scenarioDeadlineAtGateHeldBySplitSibling() {
+  // MaxPool 4: the root and a split child hold two slots, and the child's
+  // two samples hold the other two for 1.5 s. The root's region, with a
+  // 0.15 s budget, queues both samples at the admission gate; they retire
+  // TimedOut unforked once the budget is spent, and the region resolves
+  // then rather than when the sibling's samples give their slots back.
+  alarm(10);
+  SharedCell *Cells = mapSharedCells();
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 4;
+  Opts.Seed = 29;
+  Rt.init(Opts);
+
+  const int N = 2;
+  if (Rt.split()) {
+    Rt.sampling(N);
+    (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling()) {
+      Cells[0].add(1);
+      usleep(1500000);
+      Rt.aggregate("done", encodeDouble(1), nullptr);
+    }
+    Rt.aggregate("done", encodeDouble(0), nullptr);
+    Rt.finishAndExit();
+  }
+  while (Cells[0].count() < N)
+    usleep(1000);
+  RegionOptions Ro;
+  Ro.TimeoutSec = 0.15;
+  double T0 = monoSeconds();
+  Rt.sampling(N, Ro);
+  (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
+  if (Rt.isSampling())
+    Rt.aggregate("done", encodeDouble(1), nullptr);
+  int TimedOut = -1;
+  Rt.aggregate("done", encodeDouble(0), [&](AggregationView &V) {
+    TimedOut = V.countStatus(SampleStatus::TimedOut);
+  });
+  double Elapsed = monoSeconds() - T0;
+  Rt.finish();
+  CHECK_OR(Elapsed < 1.0, 2);
+  CHECK_OR(TimedOut == N, 3);
+  alarm(0);
+  return 0;
+}
+
 int scenarioRetryRespawnsSpares() {
   // With MaxRetries, a crashed sample is replaced by a pre-forked spare
   // running a fresh RNG stream (index >= N).
@@ -938,6 +1172,44 @@ int scenarioRetryRespawnsSpares() {
   return 0;
 }
 
+int scenarioRetryCoversCrashAtAdmissionGate() {
+  // MaxPool 3 runs two samples beside the root. Sample 0 crashes at once
+  // while sample 1 sleeps, so sampling() reaps the crash while it still
+  // waits at the gate for sample 2's slot, before it has forked the
+  // spare. The spare must still replace the crashed sample once forked,
+  // not park unused.
+  alarm(20);
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 3;
+  Opts.Seed = 22;
+  Rt.init(Opts);
+
+  const int N = 4;
+  RegionOptions Ro;
+  Ro.MaxRetries = 1;
+  Rt.sampling(N, Ro);
+  double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+  if (Rt.isSampling()) {
+    if (Rt.sampleIndex() == 0)
+      abort();
+    usleep(200000);
+    Rt.aggregate("x", encodeDouble(X), nullptr);
+  }
+  int Committed = -1, Crashed = -1, Unused = -1;
+  Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+    Committed = V.countStatus(SampleStatus::Committed);
+    Crashed = V.countStatus(SampleStatus::Crashed);
+    Unused = V.countStatus(SampleStatus::Unused);
+  });
+  CHECK_OR(Committed == N, 2); // the spare restored full coverage
+  CHECK_OR(Crashed == 1, 3);
+  CHECK_OR(Unused == 0, 4);
+  Rt.finish();
+  alarm(0);
+  return 0;
+}
+
 int scenarioCrashBeforeSyncBarrier() {
   // A child that dies before reaching @sync must be removed from the
   // barrier's expected set or every surviving process deadlocks.
@@ -969,6 +1241,48 @@ int scenarioCrashBeforeSyncBarrier() {
   CHECK_OR(Crashed == 1, 3);
   CHECK_OR(Committed == N - 1, 4);
   Rt.finish();
+  return 0;
+}
+
+int scenarioDeadlineSparesBarrierWaiters() {
+  // The deadline passes while samples 1 and 2 wait at @sync and sample 0
+  // has not arrived. Only sample 0 is killed there: a SIGKILL on a sample
+  // waiting on the barrier's process-shared condvar would leave the
+  // condvar expecting it, and the release broadcast (now, or in a later
+  // region reusing the barrier slot) would block for good. Released past
+  // the deadline, samples 1 and 2 race its next enforcement to their
+  // commit, so either outcome counts. Two more regions then reuse the
+  // slot.
+  alarm(20);
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 8;
+  Opts.Seed = 27;
+  Rt.init(Opts);
+
+  const int N = 3;
+  for (int Round = 0; Round != 3; ++Round) {
+    RegionOptions Ro;
+    Ro.TimeoutSec = Round == 0 ? 0.2 : -1.0;
+    double T0 = monoSeconds();
+    Rt.sampling(N, Ro);
+    (void)Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling() && Round == 0 && Rt.sampleIndex() == 0)
+      sleep(30); // far past the budget; SIGKILL arrives first
+    Rt.sync(nullptr);
+    if (Rt.isSampling())
+      Rt.aggregate("done", encodeDouble(1), nullptr);
+    int Committed = -1, TimedOut = -1;
+    Rt.aggregate("done", encodeDouble(0), [&](AggregationView &V) {
+      Committed = V.countStatus(SampleStatus::Committed);
+      TimedOut = V.countStatus(SampleStatus::TimedOut);
+    });
+    CHECK_OR(monoSeconds() - T0 < 5.0, 10 + Round);
+    CHECK_OR(Committed + TimedOut == N, 20 + Round);
+    CHECK_OR(Round == 0 ? TimedOut >= 1 : TimedOut == 0, 30 + Round);
+  }
+  Rt.finish();
+  alarm(0);
   return 0;
 }
 
@@ -1085,12 +1399,32 @@ TEST(ProcFailureTest, AbortPlusTimeoutReclaimsBothSlots) {
   EXPECT_EQ(runScenario(scenarioAbortPlusTimeout), 0);
 }
 
+TEST(ProcFailureTest, DeadlineHonouredAtAdmissionGate) {
+  EXPECT_EQ(runScenario(scenarioDeadlineAtAdmissionGate), 0);
+}
+
+TEST(ProcFailureTest, DeadlineAtGateLeavesSyncBarrier) {
+  EXPECT_EQ(runScenario(scenarioDeadlineAtGateLeavesSyncBarrier), 0);
+}
+
+TEST(ProcFailureTest, DeadlineAtGateHeldBySplitSibling) {
+  EXPECT_EQ(runScenario(scenarioDeadlineAtGateHeldBySplitSibling), 0);
+}
+
 TEST(ProcFailureTest, RetryRespawnsSpareSamples) {
   EXPECT_EQ(runScenario(scenarioRetryRespawnsSpares), 0);
 }
 
+TEST(ProcFailureTest, RetryCoversCrashAtAdmissionGate) {
+  EXPECT_EQ(runScenario(scenarioRetryCoversCrashAtAdmissionGate), 0);
+}
+
 TEST(ProcFailureTest, CrashBeforeSyncDoesNotDeadlock) {
   EXPECT_EQ(runScenario(scenarioCrashBeforeSyncBarrier), 0);
+}
+
+TEST(ProcFailureTest, DeadlineSparesBarrierWaiters) {
+  EXPECT_EQ(runScenario(scenarioDeadlineSparesBarrierWaiters), 0);
 }
 
 TEST(ProcFailureTest, ConcurrentRegionsGetDistinctBarriers) {
