@@ -12,11 +12,11 @@
 ///
 /// The server is deliberately *threadless*: it owns non-blocking-accept
 /// sockets and a poll(2) pump that the runtime's aggregate() supervisor
-/// loop calls in place of its plain timed wait. One poll covers the
-/// listening socket, every agent connection, and the SharedControl
-/// eventfd, so the supervisor still wakes instantly on local child
-/// events while also reacting to remote frames — no locks, no threads,
-/// no second supervisor.
+/// loop calls in place of its plain wait on the tuning process' own
+/// child-event eventfd. One poll covers the listening socket, every agent
+/// connection, and that eventfd, so the supervisor still wakes instantly
+/// on local child events while also reacting to remote frames — no
+/// locks, no threads, no second supervisor.
 ///
 /// All lease-state decisions stay in the runtime via callbacks: the
 /// server only enforces the protocol invariants that make remote
@@ -109,8 +109,8 @@ public:
 
   /// One supervisor wait: polls listen + connections + \p WakeFd for up
   /// to \p TimeoutMs, then accepts, reads, and dispatches whatever is
-  /// ready. WakeFd (the SharedControl eventfd) only shortens the wait;
-  /// the caller drains it.
+  /// ready. WakeFd (the tuning process' child-event eventfd) only
+  /// shortens the wait; the caller drains it.
   void pump(int TimeoutMs, int WakeFd = -1);
 
   /// Whether the open region still has remotely owned leases — the

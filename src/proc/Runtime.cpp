@@ -44,6 +44,15 @@ uint64_t mixSeed(uint64_t X, uint64_t Y) {
   return Z ^ (Z >> 31);
 }
 
+/// The RNG stream of sample \p Index of region \p Region of tuning
+/// process \p Tp. A fork-per-sample child, a pool worker and a remote
+/// agent that run the sample all reseed with it, which keeps their draws
+/// bitwise-identical.
+Rng sampleRng(uint64_t Seed, uint64_t Tp, uint64_t Region, int Index) {
+  return Rng(mixSeed(mixSeed(Seed, Tp),
+                     (Region << 20) + static_cast<uint64_t>(Index)));
+}
+
 bool makeDir(const std::string &Path) { return sys::makeDir(Path); }
 
 /// makeDir for directories the runtime can survive without (per-region
@@ -230,9 +239,12 @@ struct LeaseCell {
 /// Header of the per-region shared table; ChildSlot[NumSlots] follows it
 /// in memory, then LeaseCell[NumLeases]. A fork-mode region has a slot
 /// and a lease per sample and spare (slot I runs lease I); a pool table
-/// has a slot per worker.
+/// has a slot per worker. Everything a region shares lives here and
+/// nowhere else, so it is created with the region's mapping and gone
+/// with it, even when its tuning process dies with the region open.
 struct RegionTable {
   SharedLock ParkLock; // spare parking and the pool's claim gate
+  SharedBarrier Barrier; // @sync; fork-mode regions only
   int32_t NumSlots;
   int32_t PoolMode;  // 1 for regionBatch() regions
   int32_t NumLeases; // BatchCount * BatchN
@@ -248,6 +260,23 @@ struct RegionTable {
   // it (under ParkLock) as deliveries complete, which is what caps the
   // number of in-flight regions at Pipeline.
   std::atomic<int64_t> ClaimLimit;
+  // Next unclaimed counter index of a pool table, zero in the fresh
+  // mapping. Claimed by CAS, and only below ClaimLimit: the gate must
+  // reject BEFORE the claim, since an index claimed and then parked on
+  // stalls its region's delivery until the sleeping holder runs again.
+  // Every claimant writes it, so it gets a cache line of its own.
+  alignas(64) std::atomic<int64_t> ClaimNext;
+};
+
+/// Cleanup ownership of one @split tuning process, in a page its parent
+/// maps for it before the fork and unmaps when it reaps it. The child
+/// gives its pool slot back at the top of finish() and its live count at
+/// the end; whichever of it and the reaping parent wins each exchange
+/// does the release, so a child killed at any point is reclaimed
+/// exactly once (the rule ChildSlot::SlotHeld follows).
+struct SplitCell {
+  std::atomic<int32_t> SlotHeld; // 1 while its pool slot is owned
+  std::atomic<int32_t> Live;     // 1 while it counts as a live tuning process
 };
 
 } // namespace proc
@@ -533,30 +562,8 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   TheRng = Rng(mixSeed(Opts.Seed, 0));
   // Reset per-run state so a root that called finish() can init() again
   // in the same process (backend equivalence tests, benchmarks).
-  RegionCounter = 0;
-  RegionActive = false;
-  SplitChildren.clear();
-  Reaped.clear();
-  NumSpares = 0;
-  BarrierSlot = -1;
-  RegionDirPath.clear();
-  RegionSlabStart = 0;
-  RegionShmStart = 0;
-  std::fill(std::begin(RegionFallbackStart), std::end(RegionFallbackStart),
-            0);
-  FoldScalars.clear();
-  FoldVotes.clear();
-  FoldMeanVecs.clear();
-  FoldedPairs.clear();
-  LeaseSlot = -1;
-  LeaseIndex = -1;
-  RespawnsUsed = 0;
-  RegionBody = nullptr;
-  PoolWorker = false;
-  WorkerIndex = -1;
+  resetTuningState();
   NetServer.reset();
-  NetAgentPids.clear();
-  NetSpawned = false;
   NetAgentMode = false;
   AgentVars.clear();
   AgentCommitted = false;
@@ -622,7 +629,6 @@ void Runtime::init(const RuntimeOptions &InOpts) {
                      MAddr.c_str(), std::strerror(errno));
     }
   }
-  TraceBuf.clear();
   InitTime = monoNow();
   // The root tuning process occupies a pool slot like any other process;
   // a fresh pool always admits it, so one attempt that never waits.
@@ -634,7 +640,12 @@ void Runtime::init(const RuntimeOptions &InOpts) {
 void Runtime::finish() {
   assert(Inited && "finish() before init()");
   assert(isTuning() && "sampling processes terminate in aggregate()");
-  // Reap our own split children first; their finish() already waited for
+  // Nothing below forks, so the pool slot goes back first: a split
+  // descendant's own split() may need it at the tuning gate, and on a
+  // small pool only this slot can let it through.
+  if (IsRoot || SplitSelf->SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
+    Ctl->releaseSlot();
+  // Reap our own split children; their finish() already waited for
   // theirs, so this transitively covers all descendants.
   reapSplitChildren(/*Block=*/true);
   if (IsRoot) {
@@ -651,7 +662,6 @@ void Runtime::finish() {
       drainTraceEvents(/*Final=*/true);
       exportTrace();
     }
-    Ctl->releaseSlot();
     if (!Opts.KeepFiles)
       removeTree(Opts.RunDir);
     MetricsEp.reset();
@@ -667,8 +677,8 @@ void Runtime::finish() {
     drainTraceEvents(/*Final=*/false);
     writeTraceFragmentFile();
   }
-  Ctl->tuningProcessExited();
-  Ctl->releaseSlot();
+  if (SplitSelf->Live.exchange(0, std::memory_order_acq_rel) == 1)
+    Ctl->tuningProcessExited();
 }
 
 void Runtime::finishAndExit() {
@@ -679,36 +689,66 @@ void Runtime::finishAndExit() {
 
 /// Reaps this tuning process' @split children: every one, waiting for
 /// it, when \p Block (finish()), else those already gone (the split()
-/// gate). A split child that died before its own finish() left its
-/// live-tuning-process count and pool slot behind; they are reclaimed on
-/// its behalf, or the root would hang in finish() and a later split()
-/// would starve at the gate.
+/// gate). A split child that died before its own finish() was through
+/// left its pool slot, its live-tuning-process count, or both, behind;
+/// whatever its cell says it still held is reclaimed on its behalf, or
+/// the root would hang in finish() and a later split() would starve at
+/// the gate.
 void Runtime::reapSplitChildren(bool Block) {
   for (size_t I = 0; I != SplitChildren.size();) {
-    pid_t Pid = SplitChildren[I];
+    auto [Pid, Cell] = SplitChildren[I];
     int St = 0;
     // sys::waitPid retries EINTR internally, so an interrupted wait never
     // reads as "child handled", which would skip both the reap and the
-    // abnormal-death reclamation below.
+    // reclamation below.
     pid_t Got = sys::waitPid(Pid, &St, Block ? 0 : WNOHANG);
     if (Got == 0) {
       ++I;
       continue;
     }
-    if (Got == Pid && !(WIFEXITED(St) && WEXITSTATUS(St) == 0)) {
+    bool Slot = Cell->SlotHeld.exchange(0, std::memory_order_acq_rel) == 1;
+    bool Live = Cell->Live.exchange(0, std::memory_order_acq_rel) == 1;
+    if (Slot || Live)
       std::fprintf(stderr,
-                   "wbtuner: split tuning process %d died abnormally "
+                   "wbtuner: split tuning process %d died before finish() "
                    "(status 0x%x); reclaiming its accounting\n",
                    static_cast<int>(Pid), St);
-      Ctl->tuningProcessExited();
+    if (Slot)
       Ctl->releaseSlot();
-    }
+    if (Live)
+      Ctl->tuningProcessExited();
+    munmap(Cell, sizeof(SplitCell));
     SplitChildren.erase(SplitChildren.begin() + static_cast<ptrdiff_t>(I));
   }
 }
 
 std::string Runtime::regionDir(uint64_t Region) const {
   return TpDir + "/r" + std::to_string(Region);
+}
+
+void Runtime::resetTuningState() {
+  RegionCounter = 0;
+  RegionActive = false;
+  SplitChildren.clear();
+  Reaped.clear();
+  NumSpares = 0;
+  RegionDirPath.clear();
+  RegionSlabStart = 0;
+  RegionShmStart = 0;
+  std::fill(std::begin(RegionFallbackStart), std::end(RegionFallbackStart),
+            0);
+  FoldScalars.clear();
+  FoldVotes.clear();
+  FoldMeanVecs.clear();
+  FoldedPairs.clear();
+  LeaseIndex = -1;
+  RespawnsUsed = 0;
+  RegionBody = nullptr;
+  PoolWorker = false;
+  WorkerIndex = -1;
+  NetAgentPids.clear();
+  NetSpawned = false;
+  TraceBuf.clear();
 }
 
 void Runtime::exitChild() {
@@ -730,7 +770,7 @@ void Runtime::exitChild() {
   ChildSlot &S = slotsOf(Table)[WorkerIndex];
   S.Exiting.store(1, std::memory_order_release);
   if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
-    Ctl->barrierLeave(BarrierSlot);
+    Table->Barrier.leave();
   if (S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
     Ctl->releaseSlot();
   Ctl->childEventNotify();
@@ -813,7 +853,7 @@ bool Runtime::reapOne(int Idx, bool Block) {
   if (S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
     Ctl->releaseSlot();
   if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
-    Ctl->barrierReclaimDead(BarrierSlot, &S.InBarrier);
+    Table->Barrier.reclaimDead(&S.InBarrier);
   // A holder still naming its lease died mid-body (or under a deadline
   // kill mark). A clean exit there is a voluntary prune; any other death
   // goes through the retry rule, timed out if it was a deadline kill. A
@@ -945,8 +985,8 @@ bool Runtime::activateSpare() {
     // same: it finds the command set when it parks.
     if (Reaped[Idx])
       continue; // its fork failed, or it died while parked
-    // The spare will owe a barrierLeave like any live child.
-    Ctl->barrierAdd(BarrierSlot, +1);
+    // The spare will owe a barrier leave like any live child.
+    Table->Barrier.add(+1);
     S.BarrierLeft.store(0, std::memory_order_relaxed);
     leasesOf(Table)[Idx].State.store(LsPending, std::memory_order_release);
     pthread_mutex_lock(&Table->ParkLock.Mutex);
@@ -992,7 +1032,7 @@ int Runtime::killStragglers() {
     if (S.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
       Ctl->releaseSlot();
     if (S.BarrierLeft.exchange(1, std::memory_order_acq_rel) == 0)
-      Ctl->barrierReclaimDead(BarrierSlot, &S.InBarrier);
+      Table->Barrier.reclaimDead(&S.InBarrier);
     traceEmit(obs::EventKind::Kill, static_cast<uint64_t>(I),
               static_cast<uint64_t>(Pid));
     kill(Pid, SIGKILL);
@@ -1190,15 +1230,13 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
   NextSpare = 0;
   NumSpares = Ro.MaxRetries >= 0 ? Ro.MaxRetries : Opts.MaxRetries;
 
-  BarrierSlot = Ctl->acquireBarrierSlot();
-  Ctl->barrierReset(BarrierSlot, N);
-
   // One slot and one lease per sample, the spares' after the mains': a
   // one-region table whose window spans them all. Mains owe a barrier
   // leave; spares stay outside the barrier, and their leases unused,
   // until activated.
   int NumSlots = N + NumSpares;
   mapRegionTable(RegionCounter, 1, NumSlots, NumSlots);
+  Table->Barrier.init(N);
   ChildSlot *Slots = slotsOf(Table);
   LeaseCell *Leases = leasesOf(Table);
   for (int I = 0; I != NumSlots; ++I) {
@@ -1246,8 +1284,7 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
       if (inject::armed())
         inject::tagProcess(mixSeed(TpId, (RegionCounter << 20) +
                                              static_cast<uint64_t>(I)));
-      TheRng = Rng(mixSeed(mixSeed(Opts.Seed, TpId),
-                           (RegionCounter << 20) + static_cast<uint64_t>(I)));
+      TheRng = sampleRng(Opts.Seed, TpId, RegionCounter, I);
       if (I >= N)
         parkAsSpare(I); // returns only if activated as a replacement
       traceEmit(obs::EventKind::SampleBegin, RegionCounter,
@@ -1286,7 +1323,7 @@ bool Runtime::admitSampler(int SlotIdx, bool UntilDeadline) {
 void Runtime::settleUnforked(int Idx) {
   if (slotsOf(Table)[Idx].BarrierLeft.exchange(1, std::memory_order_relaxed) ==
       0)
-    Ctl->barrierLeave(BarrierSlot);
+    Table->Barrier.leave();
   Reaped[Idx] = 1;
 }
 
@@ -1448,9 +1485,12 @@ int Runtime::tryClaimLease(bool Worker) {
   for (;;) {
     int64_t Bound = std::min<int64_t>(
         Table->ClaimLimit.load(std::memory_order_acquire), N);
-    int64_t Idx = Ctl->leaseClaimBounded(LeaseSlot, Bound);
-    if (Idx < 0)
-      return -1;
+    int64_t Idx = Table->ClaimNext.load(std::memory_order_relaxed);
+    do {
+      if (Idx >= Bound)
+        return -1;
+    } while (!Table->ClaimNext.compare_exchange_weak(
+        Idx, Idx + 1, std::memory_order_relaxed));
     if (Mark)
       Mark->store(static_cast<int32_t>(Idx), std::memory_order_release);
     int32_t Expect = LsPending;
@@ -1466,7 +1506,7 @@ int Runtime::tryClaimLease(bool Worker) {
 /// claim lost to a deadline retirement). If the supervisor swapped in a
 /// kill mark first, the SIGKILL is on its way: wait for it here, before
 /// the process could take any process-shared lock (the claim gate, the
-/// pool slot, the child-event notify) that a kill must never interrupt.
+/// pool slot, the @sync barrier) that a kill must never interrupt.
 void Runtime::dropLeaseMark(int Idx) {
   int32_t Expect = Idx;
   if (slotsOf(Table)[WorkerIndex].CurrentLease.compare_exchange_strong(
@@ -1511,19 +1551,19 @@ int Runtime::claimLeaseGated() {
     int Idx = tryClaimLease(/*Worker=*/true);
     if (Idx >= 0)
       return Idx;
-    if (Ctl->leaseNext(LeaseSlot) >= N &&
+    if (Table->ClaimNext.load(std::memory_order_acquire) >= N &&
         Table->LeasesReturned.load(std::memory_order_acquire) == 0)
       return -1;
     if (Table->LeasesReturned.load(std::memory_order_acquire) == 0 &&
         Table->ClaimLimit.load(std::memory_order_acquire) <=
-            Ctl->leaseNext(LeaseSlot) &&
+            Table->ClaimNext.load(std::memory_order_acquire) &&
         Me.SlotHeld.exchange(0, std::memory_order_acq_rel) == 1)
       Ctl->releaseSlot();
     timespec Deadline = monoDeadlineIn(50);
     pthread_mutex_lock(&Table->ParkLock.Mutex);
     if (Table->LeasesReturned.load(std::memory_order_acquire) == 0 &&
         Table->ClaimLimit.load(std::memory_order_acquire) <=
-            Ctl->leaseNext(LeaseSlot))
+            Table->ClaimNext.load(std::memory_order_acquire))
       pthread_cond_timedwait(&Table->ParkLock.Cond, &Table->ParkLock.Mutex,
                              &Deadline);
     pthread_mutex_unlock(&Table->ParkLock.Mutex);
@@ -1560,10 +1600,8 @@ void Runtime::runOneLease(int Idx) {
   traceEmit(obs::EventKind::LeaseBegin, RegionCounter,
             static_cast<uint64_t>(Idx));
   // The per-index reseed that makes pool draws bitwise-identical to a
-  // fork-per-sample child of the same index (same formula as
-  // sampling()'s child branch).
-  TheRng = Rng(mixSeed(mixSeed(Opts.Seed, TpId),
-                       (RegionCounter << 20) + static_cast<uint64_t>(Local)));
+  // fork-per-sample child of the same index.
+  TheRng = sampleRng(Opts.Seed, TpId, RegionCounter, Local);
   try {
     RegionBody();
     // Returning without reaching aggregate() is a voluntary prune,
@@ -1622,7 +1660,7 @@ void Runtime::workerLoop() {
 bool Runtime::settlePoolLeases() {
   LeaseCell *Leases = leasesOf(Table);
   int N = Table->NumLeases;
-  int64_t CounterNext = Ctl->leaseNext(LeaseSlot);
+  int64_t CounterNext = Table->ClaimNext.load(std::memory_order_acquire);
   int64_t W0 = windowBegin();
   bool DeadlinePassed = regionDeadlinePassed();
   bool BudgetLeft = RespawnsUsed < N;
@@ -1705,11 +1743,9 @@ void Runtime::openLeaseTable(uint64_t Base, int Regions, int N, int W,
   Table->PoolMode = 1;
   Table->ClaimLimit.store(ClaimInit, std::memory_order_release);
   TableWorkers = W;
-  LeaseSlot = Ctl->acquireLeaseSlot();
-  Ctl->leaseReset(LeaseSlot);
   // Workers run their leases at different times, so a pool region has no
-  // @sync barrier: no barrier slot, and no worker owes it a leave.
-  BarrierSlot = -1;
+  // @sync barrier: its Barrier stays uninitialised, and no worker owes it
+  // a leave.
   for (int I = 0; I != W; ++I)
     forkPoolWorker(I);
 }
@@ -1825,8 +1861,6 @@ void Runtime::regionBatch(int Regions, int N, const RegionOptions &Ro,
     traceEmit(obs::EventKind::BatchEnd, Base, static_cast<uint64_t>(Regions));
 
   destroyRegionTable();
-  Ctl->releaseLeaseSlot(LeaseSlot);
-  LeaseSlot = -1;
   RegionBody = nullptr;
 }
 
@@ -1943,7 +1977,8 @@ std::vector<int64_t> Runtime::netClaimLeases(uint32_t Want) {
   int64_t Limit = std::min<int64_t>(
       Table->ClaimLimit.load(std::memory_order_acquire), Table->NumLeases);
   int64_t Claimable =
-      std::max<int64_t>(0, Limit - Ctl->leaseNext(LeaseSlot)) +
+      std::max<int64_t>(
+          0, Limit - Table->ClaimNext.load(std::memory_order_acquire)) +
       Table->LeasesReturned.load(std::memory_order_acquire);
   int64_t Claimants = std::max<int64_t>(
       1, TableWorkers + static_cast<int64_t>(NetServer->agents()));
@@ -1980,22 +2015,10 @@ void Runtime::netApplyCommit(const net::LeaseResult &R) {
   uint64_t Reg = Table->BatchBase + static_cast<uint64_t>(R.Lease) /
                                         static_cast<uint64_t>(Table->BatchN);
   int Child = static_cast<int>(R.Lease % Table->BatchN);
-  for (const net::CommitVar &V : R.Vars) {
-    // Same slab-first routing as commitBytes() on the sampling side, so
-    // a remote commit's stored bytes are identical to a local one's.
-    if (Opts.Backend == StoreBackend::Shm) {
-      if (V.Bytes.size() <= Opts.ShmRecordThreshold) {
-        if (Ctl->slabCommit(TpId, Reg, V.Name, Child, V.Bytes.data(),
-                            V.Bytes.size()))
-          continue;
-      } else {
-        Ctl->noteSlabFallback(obs::FallbackReason::Oversized);
-      }
-    }
-    std::string Dir = regionDir(Reg);
-    makeDirOrWarn(Dir);
-    writeFileBytes(sampleFilePath(Dir, V.Name, Child), V.Bytes);
-  }
+  // The sampling side's routing, so a remote commit's stored bytes are
+  // identical to a local one's.
+  for (const net::CommitVar &V : R.Vars)
+    storeCommit(Reg, Child, V.Name, V.Bytes);
 }
 
 /// Server callback: a disconnected agent's still-owned lease goes
@@ -2156,8 +2179,7 @@ net::LeaseResult Runtime::netRunLease(const net::RegionOpenMsg &Region,
   AgentCommitted = false;
   traceEmit(obs::EventKind::LeaseBegin, RegionCounter,
             static_cast<uint64_t>(Idx));
-  TheRng = Rng(mixSeed(mixSeed(Opts.Seed, Region.TpId),
-                       (RegionCounter << 20) + static_cast<uint64_t>(Local)));
+  TheRng = sampleRng(Opts.Seed, Region.TpId, RegionCounter, Local);
   try {
     RegionBody();
     // Falling out of the body without aggregate() is a voluntary prune,
@@ -2229,7 +2251,7 @@ void Runtime::sync(const std::function<void()> &BarrierCb) {
     // released: the deadline kills only samples that have not arrived.
     ChildSlot &S = slotsOf(Table)[ChildIndex];
     dropLeaseMark(ChildIndex);
-    Ctl->barrierArriveAndWait(BarrierSlot, &S.InBarrier);
+    Table->Barrier.arriveAndWait(&S.InBarrier);
     S.CurrentLease.store(ChildIndex, std::memory_order_release);
     return;
   }
@@ -2239,62 +2261,65 @@ void Runtime::sync(const std::function<void()> &BarrierCb) {
   // activated once a region synced (a replacement cannot replay the
   // barriers it missed).
   RegionUsedSync = true;
-  while (!Ctl->barrierWaitAllTimed(BarrierSlot, 50)) {
+  while (!Table->Barrier.waitAllTimed(50)) {
     sweepChildren();
     enforceDeadline();
   }
   if (BarrierCb)
     BarrierCb();
-  Ctl->barrierRelease(BarrierSlot);
+  Table->Barrier.release();
 }
 
-/// Routes one commit (sampling side) per the configured backend: slab
-/// first under Shm, file store for the Files backend and for payloads
-/// the slab will not take (oversized, directory/arena overflow,
-/// over-long name). Either way the commit is torn-proof: the slab
-/// publishes with a release-store after the payload, the file path
-/// writes to a temp file and renames.
+/// Routes one commit per the configured backend: slab first under Shm,
+/// file store for the Files backend and for payloads the slab will not
+/// take (oversized, directory/arena overflow, over-long name). Either way
+/// the commit is torn-proof: the slab publishes with a release-store
+/// after the payload, the file path writes to a temp file and renames.
+int Runtime::storeCommit(uint64_t Region, int Child, const std::string &Var,
+                         const std::vector<uint8_t> &Bytes) {
+  int FileArg = 0; // the Files backend: no fallback reason
+  if (Opts.Backend == StoreBackend::Shm) {
+    obs::FallbackReason Why = obs::FallbackReason::Oversized;
+    if (Bytes.size() > Opts.ShmRecordThreshold) {
+      // Oversized payloads are routed around the slab without touching
+      // it, so the per-reason counter is bumped here, not in slabCommit.
+      Ctl->noteSlabFallback(Why);
+    } else if (Ctl->slabCommit(TpId, Region, Var, Child, Bytes.data(),
+                               Bytes.size())) {
+      return -1;
+    } else {
+      // slabCommit counted the refusal; reconstruct the reason for the
+      // trace record (same classification order as slabCommit).
+      Why = Var.size() > SlabVarNameMax ? obs::FallbackReason::LongName
+                                        : obs::FallbackReason::Exhausted;
+    }
+    FileArg = static_cast<int>(Why) + 1;
+  }
+  // Lazy region directory: pure-shm regions never create it; the first
+  // file-fallback commit pays the mkdir (idempotent — EEXIST from a
+  // sibling's earlier fallback is success) right before the write.
+  std::string Dir = Region == RegionCounter ? RegionDirPath : regionDir(Region);
+  makeDirOrWarn(Dir);
+  writeFileBytes(sampleFilePath(Dir, Var, Child), Bytes);
+  return FileArg;
+}
+
+/// Sampling side: storeCommit() of the current sample, timed into the
+/// commit-latency histogram and traced as StoreCommit.
 void Runtime::commitBytes(const std::string &Var,
                           const std::vector<uint8_t> &Bytes) {
   // Remote agent: commits ride the CommitBatch frame, not the store —
-  // the server applies them tuning-side through this same routing.
+  // the server applies them tuning-side through the same routing.
   if (NetAgentMode) {
     AgentVars.push_back({Var, Bytes});
     return;
   }
   double T0 = monoNow();
-  bool FellBack = false;
-  obs::FallbackReason Why = obs::FallbackReason::Exhausted;
-  if (Opts.Backend == StoreBackend::Shm) {
-    if (Bytes.size() > Opts.ShmRecordThreshold) {
-      // Oversized payloads are routed around the slab without touching
-      // it, so the per-reason counter is bumped here, not in slabCommit.
-      Ctl->noteSlabFallback(obs::FallbackReason::Oversized);
-      FellBack = true;
-      Why = obs::FallbackReason::Oversized;
-    } else if (Ctl->slabCommit(TpId, RegionCounter, Var, ChildIndex,
-                               Bytes.data(), Bytes.size())) {
-      uint64_t Ns = static_cast<uint64_t>((monoNow() - T0) * 1e9);
-      Ctl->recordCommitLatency(Ns);
-      traceEmit(obs::EventKind::StoreCommit, /*Backend=*/0, Ns);
-      return;
-    } else {
-      // slabCommit counted the refusal; reconstruct the reason for the
-      // trace record (same classification order as slabCommit).
-      FellBack = true;
-      Why = Var.size() > SlabVarNameMax ? obs::FallbackReason::LongName
-                                        : obs::FallbackReason::Exhausted;
-    }
-  }
-  // Lazy region directory: pure-shm regions never create it; the first
-  // file-fallback commit pays the mkdir (idempotent — EEXIST from a
-  // sibling's earlier fallback is success) right before the write.
-  makeDirOrWarn(RegionDirPath);
-  writeFileBytes(sampleFilePath(RegionDirPath, Var, ChildIndex), Bytes);
+  int FileArg = storeCommit(RegionCounter, ChildIndex, Var, Bytes);
   uint64_t Ns = static_cast<uint64_t>((monoNow() - T0) * 1e9);
   Ctl->recordCommitLatency(Ns);
-  traceEmit(obs::EventKind::StoreCommit, /*Backend=*/1, Ns,
-            FellBack ? static_cast<uint16_t>(Why) + 1 : 0);
+  traceEmit(obs::EventKind::StoreCommit, /*Backend=*/FileArg >= 0, Ns,
+            static_cast<uint16_t>(std::max(FileArg, 0)));
 }
 
 void Runtime::commitExtra(const std::string &Var,
@@ -2365,11 +2390,10 @@ void Runtime::aggregate(const std::string &Var,
     });
   };
   for (;;) {
-    // Snapshot the event counter before the sweep: an exit event posted
-    // while we are sweeping must not be lost to the wait below (with a
+    // An exit event posted while we are sweeping stays readable on the
+    // eventfd until the wait below drains it, so it is not lost (with a
     // small worker pool that stall would be the last worker's exit, a
     // full 50 ms of dead time per region).
-    uint64_t EventsSeen = Ctl->childEventCount();
     int Live = sweepChildren();
     if (!LastDelivery && windowSettled())
       break;
@@ -2388,12 +2412,13 @@ void Runtime::aggregate(const std::string &Var,
     if (enforceDeadline())
       continue;
     if (NetServer && NetServer->regionOpen()) {
-      // One poll covers agent frames, new connections, AND the local
-      // child-event fd, so local wakeups keep their sub-50ms latency.
+      // One poll covers agent frames, new connections, AND this tuning
+      // process' child-event fd, so local wakeups keep their sub-50ms
+      // latency.
       NetServer->pump(50, Ctl->eventFd());
       Ctl->eventFdDrain();
     } else {
-      Ctl->childEventWaitTimed(50, EventsSeen);
+      Ctl->childEventWait(50);
     }
   }
   discardSpares();
@@ -2433,7 +2458,6 @@ void Runtime::aggregate(const std::string &Var,
     // A pool region's table, workers and slots belong to regionBatch(),
     // which tears them down after its last delivery.
     destroyRegionTable();
-    Ctl->releaseBarrierSlot(BarrierSlot);
   } else if (LastDelivery) {
     // The agents' lease window closes here rather than at teardown: the
     // close harvests every live agent's trace records, which must land
@@ -2483,11 +2507,20 @@ bool Runtime::split() {
       sweepChildren();
   }
   traceEmit(obs::EventKind::SchedAdmit, /*Tuning=*/1);
+  // The child's slot and live count, held for it until it or we give
+  // them back.
+  void *Mem = sys::mmapShared(sizeof(SplitCell));
+  if (Mem == MAP_FAILED)
+    sys::fatal("mmap of split cell failed: %s", std::strerror(errno));
+  auto *Cell = static_cast<SplitCell *>(Mem);
+  Cell->SlotHeld.store(1, std::memory_order_relaxed);
+  Cell->Live.store(1, std::memory_order_relaxed);
   std::fflush(nullptr); // keep buffered stdio out of the child
   double ForkT0 = monoNow();
   pid_t Pid = sys::forkProcess();
   if (Pid < 0) {
     // Undo the reservation: the child tuning process never existed.
+    munmap(Cell, sizeof(SplitCell));
     Ctl->releaseSlot();
     Ctl->tuningProcessExited();
     Ctl->noteForkFailure();
@@ -2502,51 +2535,30 @@ bool Runtime::split() {
     Ctl->recordForkLatency(ForkNs);
     traceEmit(obs::EventKind::Fork, static_cast<uint64_t>(Pid), ForkNs,
               /*Split=*/1);
-    SplitChildren.push_back(Pid);
+    SplitChildren.emplace_back(Pid, Cell);
     return false;
   }
   // Child tuning process: fresh aggregation store and region bookkeeping;
   // the regular store (address space) is inherited, the sample store is
-  // not, per rule [SPLIT].
+  // not, per rule [SPLIT]. Its children wake it on an eventfd of its own.
   IsRoot = false;
+  SplitSelf = Cell;
+  Ctl->reopenEventFd();
   TpId = Ctl->nextTpId();
   TpDir = Opts.RunDir + "/tp" + std::to_string(TpId);
   makeDirOrWarn(TpDir);
   if (inject::armed())
     inject::tagProcess(mixSeed(TpId, 0x5B117));
-  RegionCounter = 0;
-  RegionActive = false;
-  SplitChildren.clear();
   // The parent's live region (we are usually forked from inside its
   // aggregation callback) is not ours to supervise: drop our view of its
-  // child table and barrier.
+  // table, barrier and claim counter. Drained events belong to the
+  // parent; ours start fresh (the parent merges our fragment at root
+  // finish()).
   destroyRegionTable();
-  Reaped.clear();
-  NumSpares = 0;
-  BarrierSlot = -1;
-  RegionDirPath.clear();
-  RegionSlabStart = 0;
-  RegionShmStart = 0;
-  std::fill(std::begin(RegionFallbackStart), std::end(RegionFallbackStart),
-            0);
-  // Drained events belong to the parent; ours start fresh (the parent
-  // merges our fragment at root finish()).
-  TraceBuf.clear();
-  FoldScalars.clear();
-  FoldVotes.clear();
-  FoldMeanVecs.clear();
-  FoldedPairs.clear();
-  LeaseSlot = -1;
-  LeaseIndex = -1;
-  RespawnsUsed = 0;
-  RegionBody = nullptr;
-  PoolWorker = false;
-  WorkerIndex = -1;
+  resetTuningState();
   // The lease server and its agents belong to the root: drop the
   // inherited fds without running any lease-state callbacks.
   closeInheritedNetFds();
-  NetAgentPids.clear();
-  NetSpawned = false;
   TheRng = Rng(mixSeed(Opts.Seed, 0x5117 + TpId));
   return true;
 }

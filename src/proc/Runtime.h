@@ -105,6 +105,7 @@ namespace proc {
 
 class SharedControl;
 struct RegionTable;
+struct SplitCell;
 
 /// Sampling strategies available across processes.
 enum class SamplingKind {
@@ -574,9 +575,15 @@ private:
   enum class ModeKind { Tuning, Sampling };
 
   std::string regionDir(uint64_t Region) const;
-  /// Routes one commit to the slab or the file store per Backend /
-  /// threshold / capacity (sampling side).
+  /// Sampling side: storeCommit() of the current sample, timed and
+  /// traced.
   void commitBytes(const std::string &Var, const std::vector<uint8_t> &Bytes);
+  /// Routes one commit, \p Var of sample \p Child of region \p Region, to
+  /// the slab or the file store per Backend / threshold / capacity; local
+  /// and remote commits share it. Returns -1 when the slab took it, else
+  /// the StoreCommit trace argument of its file commit.
+  int storeCommit(uint64_t Region, int Child, const std::string &Var,
+                  const std::vector<uint8_t> &Bytes);
   /// Builds the region's RegionReader once its barrier resolved.
   std::shared_ptr<const RegionReader> makeRegionReader() const;
   /// Folds newly published slab commits of the live region into the
@@ -625,6 +632,9 @@ private:
   /// Reaps exited @split children (all of them, waiting, when \p Block),
   /// reclaiming the accounting of any that died before finish().
   void reapSplitChildren(bool Block);
+  /// Resets the region, pool, fold and agent state a fresh tuning process
+  /// starts without: the root's init() and a @split child's both call it.
+  void resetTuningState();
 
   // Supervisor internals (tuning side of a live region).
   bool reapOne(int Idx, bool Block);
@@ -726,7 +736,6 @@ private:
   bool RegionActive = false;
   int RegionN = 0;
   SamplingKind RegionKind = SamplingKind::Random;
-  int BarrierSlot = 0;
   int ChildIndex = -1;
   RegionTable *Table = nullptr; // per-region shared child table
   size_t TableBytes = 0;
@@ -736,10 +745,12 @@ private:
   bool RegionHasDeadline = false;
   double RegionDeadline = 0;      // CLOCK_MONOTONIC seconds
   std::vector<char> Reaped;       // per-child, tuning side
-  std::vector<pid_t> SplitChildren;
+  // @split children with their shared cells, and this process' own cell
+  // (null in the root).
+  std::vector<std::pair<pid_t, SplitCell *>> SplitChildren;
+  SplitCell *SplitSelf = nullptr;
 
   // Worker-pool region state (regionBatch).
-  int LeaseSlot = -1;    // SharedControl lease-counter slot
   int RespawnsUsed = 0;  // replacement workers forked after a wipe-out
   std::function<void()> RegionBody; // re-run by workers and respawns
   bool PoolWorker = false;          // this process is a pool worker
@@ -748,9 +759,9 @@ private:
                        // ChildIndex is the within-region sample index
   // Local workers the lease table opened with (remote grants divide the
   // remaining work by them plus the agents). kmeans-batch is sensitive
-  // to where members sit: one int declared right after LeaseSlot, which
-  // moved every later member by 8 bytes against the earlier ones, cost
-  // it ~8% of its samples/s (cause not understood).
+  // to where members sit: an int once declared among the worker-pool
+  // ints above, which moved every later member by 8 bytes against the
+  // earlier ones, cost it ~8% of its samples/s (cause not understood).
   int TableWorkers = 0;
 
   // Distributed-agent state. The server lives in the root tuning

@@ -9,6 +9,7 @@
 #include "inject/Inject.h"
 #include "inject/Sys.h"
 
+#include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/mman.h>
 #include <time.h>
@@ -56,13 +57,6 @@ timespec deadlineIn(int Ms) {
   return T;
 }
 
-struct Barrier {
-  SharedLock Lock;
-  int Expected;
-  int Arrived;
-  uint64_t Generation;
-};
-
 /// One directory entry of the commit slab. Fixed size, so readers can
 /// scan the directory without ever needing an unpublished record's
 /// length. Ready is the publication word: 0 until the payload, name and
@@ -109,24 +103,8 @@ struct SharedLayout {
   int LiveTps;
   uint64_t NextTp;
 
-  Barrier Barriers[NumBarrierSlots];
-
-  // Barrier-slot free-list (stack of slot indices).
-  SharedLock BarrierAllocLock;
-  int BarrierFree[NumBarrierSlots];
-  int BarrierFreeCount;
-
-  // Sample-lease counters (worker-pool regions): a free-list of slots,
-  // each holding one lock-free monotone claim counter.
-  SharedLock LeaseAllocLock;
-  int LeaseFree[NumLeaseSlots];
-  int LeaseFreeCount;
-  std::atomic<int64_t> LeaseNext[NumLeaseSlots];
+  // Supervisor counters.
   std::atomic<uint64_t> LeaseReclaims;
-
-  // Child-exit event channel + supervisor counters.
-  SharedLock ChildEventLock;
-  uint64_t ChildEvents;
   std::atomic<uint64_t> CrashedTotal;
   std::atomic<uint64_t> TimedOutTotal;
   std::atomic<uint64_t> ForkFailedTotal;
@@ -240,22 +218,8 @@ void SharedControl::init(unsigned MaxPool, bool UseScheduler,
   Layout->LiveTps = 1; // the root tuning process
   Layout->NextTp = 1;
 
-  for (Barrier &B : Layout->Barriers)
-    B.Lock.init();
-  Layout->BarrierAllocLock.init();
-  for (int I = 0; I != NumBarrierSlots; ++I)
-    Layout->BarrierFree[I] = NumBarrierSlots - 1 - I; // pop low slots first
-  Layout->BarrierFreeCount = NumBarrierSlots;
-
-  Layout->LeaseAllocLock.init();
-  for (int I = 0; I != NumLeaseSlots; ++I)
-    Layout->LeaseFree[I] = NumLeaseSlots - 1 - I;
-  Layout->LeaseFreeCount = NumLeaseSlots;
-
-  Layout->ChildEventLock.init();
-  // Poll-compatible mirror of the child-event condvar for the net lease
-  // server's pump. Best effort: if the kernel refuses, the pump degrades
-  // to its bounded poll timeout, exactly like the condvar's timed wait.
+  // The root tuning process' child-event channel. Best effort: if the
+  // kernel refuses, every wait runs to its bounded timeout.
   EventFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
 
   // The mapping starts zeroed; score min/max start at their identities
@@ -373,181 +337,95 @@ uint64_t SharedControl::nextTpId() {
 // Barriers
 //===----------------------------------------------------------------------===//
 
-int SharedControl::acquireBarrierSlot() {
-  pthread_mutex_lock(&Layout->BarrierAllocLock.Mutex);
-  while (Layout->BarrierFreeCount == 0)
-    pthread_cond_wait(&Layout->BarrierAllocLock.Cond,
-                      &Layout->BarrierAllocLock.Mutex);
-  int Slot = Layout->BarrierFree[--Layout->BarrierFreeCount];
-  pthread_mutex_unlock(&Layout->BarrierAllocLock.Mutex);
-  return Slot;
+void SharedBarrier::init(int InExpected) {
+  Lock.init();
+  Expected = InExpected;
+  Arrived = 0;
+  Generation = 0;
 }
 
-/// Pushes \p Slot onto a free-list of \p Cap slots unless it is out of
-/// range or already free; returns false then. Either mistake would later
-/// hand one slot to two owners (or index the slot arrays at -1), so the
-/// callers treat it as fatal in every build, not just under assert().
-static bool pushFreeSlot(int *Free, int &Count, int Cap, int Slot) {
-  if (Slot < 0 || Slot >= Cap || Count >= Cap ||
-      std::find(Free, Free + Count, Slot) != Free + Count)
-    return false;
-  Free[Count++] = Slot;
-  return true;
+void SharedBarrier::add(int Delta) {
+  pthread_mutex_lock(&Lock.Mutex);
+  Expected += Delta;
+  pthread_cond_broadcast(&Lock.Cond);
+  pthread_mutex_unlock(&Lock.Mutex);
 }
 
-void SharedControl::releaseBarrierSlot(int Slot) {
-  pthread_mutex_lock(&Layout->BarrierAllocLock.Mutex);
-  bool Ok = pushFreeSlot(Layout->BarrierFree, Layout->BarrierFreeCount,
-                         NumBarrierSlots, Slot);
-  pthread_cond_broadcast(&Layout->BarrierAllocLock.Cond);
-  pthread_mutex_unlock(&Layout->BarrierAllocLock.Mutex);
-  if (!Ok)
-    sys::fatal("barrier slot %d freed twice or out of range", Slot);
-}
-
-void SharedControl::barrierReset(int Slot, int Expected) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  B.Expected = Expected;
-  B.Arrived = 0;
-  pthread_mutex_unlock(&B.Lock.Mutex);
-}
-
-void SharedControl::barrierAdd(int Slot, int Delta) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  B.Expected += Delta;
-  pthread_cond_broadcast(&B.Lock.Cond);
-  pthread_mutex_unlock(&B.Lock.Mutex);
-}
-
-void SharedControl::barrierArriveAndWait(int Slot,
-                                         std::atomic<int32_t> *InBarrier) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  ++B.Arrived;
+void SharedBarrier::arriveAndWait(std::atomic<int32_t> *InBarrier) {
+  pthread_mutex_lock(&Lock.Mutex);
+  ++Arrived;
   if (InBarrier)
     InBarrier->store(1, std::memory_order_relaxed);
-  uint64_t Gen = B.Generation;
-  pthread_cond_broadcast(&B.Lock.Cond);
-  while (B.Generation == Gen)
-    pthread_cond_wait(&B.Lock.Cond, &B.Lock.Mutex);
+  uint64_t Gen = Generation;
+  pthread_cond_broadcast(&Lock.Cond);
+  while (Generation == Gen)
+    pthread_cond_wait(&Lock.Cond, &Lock.Mutex);
   if (InBarrier)
     InBarrier->store(0, std::memory_order_relaxed);
-  pthread_mutex_unlock(&B.Lock.Mutex);
+  pthread_mutex_unlock(&Lock.Mutex);
 }
 
-void SharedControl::barrierLeave(int Slot) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  --B.Expected;
-  pthread_cond_broadcast(&B.Lock.Cond);
-  pthread_mutex_unlock(&B.Lock.Mutex);
-}
+void SharedBarrier::leave() { add(-1); }
 
-void SharedControl::barrierReclaimDead(int Slot,
-                                       std::atomic<int32_t> *InBarrier) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  // If the child died blocked inside barrierArriveAndWait(), undo its
-  // arrival too; the Arrived > 0 guard covers a death racing the release
-  // of the generation (Arrived already reset for the next one).
+void SharedBarrier::reclaimDead(std::atomic<int32_t> *InBarrier) {
+  pthread_mutex_lock(&Lock.Mutex);
+  // If the child died blocked inside arriveAndWait(), undo its arrival
+  // too; the Arrived > 0 guard covers a death racing the release of the
+  // generation (Arrived already reset for the next one).
   if (InBarrier && InBarrier->exchange(0, std::memory_order_relaxed) == 1 &&
-      B.Arrived > 0)
-    --B.Arrived;
-  --B.Expected;
-  pthread_cond_broadcast(&B.Lock.Cond);
-  pthread_mutex_unlock(&B.Lock.Mutex);
+      Arrived > 0)
+    --Arrived;
+  --Expected;
+  pthread_cond_broadcast(&Lock.Cond);
+  pthread_mutex_unlock(&Lock.Mutex);
 }
 
-bool SharedControl::barrierWaitAllTimed(int Slot, int TimeoutMs) {
-  Barrier &B = Layout->Barriers[Slot];
+bool SharedBarrier::waitAllTimed(int TimeoutMs) {
   timespec Deadline = deadlineIn(TimeoutMs);
-  pthread_mutex_lock(&B.Lock.Mutex);
-  while (B.Arrived < B.Expected) {
-    if (pthread_cond_timedwait(&B.Lock.Cond, &B.Lock.Mutex, &Deadline) ==
+  pthread_mutex_lock(&Lock.Mutex);
+  while (Arrived < Expected) {
+    if (pthread_cond_timedwait(&Lock.Cond, &Lock.Mutex, &Deadline) ==
         ETIMEDOUT)
       break;
   }
-  bool Satisfied = B.Arrived >= B.Expected;
-  pthread_mutex_unlock(&B.Lock.Mutex);
+  bool Satisfied = Arrived >= Expected;
+  pthread_mutex_unlock(&Lock.Mutex);
   return Satisfied;
 }
 
-void SharedControl::barrierRelease(int Slot) {
-  Barrier &B = Layout->Barriers[Slot];
-  pthread_mutex_lock(&B.Lock.Mutex);
-  B.Arrived = 0;
-  ++B.Generation;
-  pthread_cond_broadcast(&B.Lock.Cond);
-  pthread_mutex_unlock(&B.Lock.Mutex);
-}
-
-//===----------------------------------------------------------------------===//
-// Sample-lease counters
-//===----------------------------------------------------------------------===//
-
-int SharedControl::acquireLeaseSlot() {
-  pthread_mutex_lock(&Layout->LeaseAllocLock.Mutex);
-  while (Layout->LeaseFreeCount == 0)
-    pthread_cond_wait(&Layout->LeaseAllocLock.Cond,
-                      &Layout->LeaseAllocLock.Mutex);
-  int Slot = Layout->LeaseFree[--Layout->LeaseFreeCount];
-  pthread_mutex_unlock(&Layout->LeaseAllocLock.Mutex);
-  return Slot;
-}
-
-void SharedControl::releaseLeaseSlot(int Slot) {
-  pthread_mutex_lock(&Layout->LeaseAllocLock.Mutex);
-  bool Ok = pushFreeSlot(Layout->LeaseFree, Layout->LeaseFreeCount,
-                         NumLeaseSlots, Slot);
-  pthread_cond_broadcast(&Layout->LeaseAllocLock.Cond);
-  pthread_mutex_unlock(&Layout->LeaseAllocLock.Mutex);
-  if (!Ok)
-    sys::fatal("lease slot %d freed twice or out of range", Slot);
-}
-
-void SharedControl::leaseReset(int Slot) {
-  Layout->LeaseNext[Slot].store(0, std::memory_order_release);
-}
-
-int64_t SharedControl::leaseClaimBounded(int Slot, int64_t Bound) {
-  std::atomic<int64_t> &Next = Layout->LeaseNext[Slot];
-  int64_t Cur = Next.load(std::memory_order_relaxed);
-  while (Cur < Bound)
-    if (Next.compare_exchange_weak(Cur, Cur + 1, std::memory_order_relaxed))
-      return Cur;
-  return -1;
-}
-
-int64_t SharedControl::leaseNext(int Slot) const {
-  return Layout->LeaseNext[Slot].load(std::memory_order_acquire);
-}
-
-void SharedControl::noteLeaseReclaim() {
-  Layout->LeaseReclaims.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t SharedControl::leaseReclaimsTotal() const {
-  return Layout->LeaseReclaims.load(std::memory_order_relaxed);
+void SharedBarrier::release() {
+  pthread_mutex_lock(&Lock.Mutex);
+  Arrived = 0;
+  ++Generation;
+  pthread_cond_broadcast(&Lock.Cond);
+  pthread_mutex_unlock(&Lock.Mutex);
 }
 
 //===----------------------------------------------------------------------===//
 // Child events + supervisor counters
 //===----------------------------------------------------------------------===//
 
+void SharedControl::reopenEventFd() {
+  if (EventFd >= 0)
+    close(EventFd);
+  EventFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+}
+
 void SharedControl::childEventNotify() {
-  pthread_mutex_lock(&Layout->ChildEventLock.Mutex);
-  ++Layout->ChildEvents;
-  pthread_cond_broadcast(&Layout->ChildEventLock.Cond);
-  pthread_mutex_unlock(&Layout->ChildEventLock.Mutex);
-  if (EventFd >= 0) {
-    // Forked children inherit the descriptor, so their notifies wake a
-    // root poll too. EAGAIN (saturated counter) still leaves it readable.
-    uint64_t One = 1;
-    ssize_t R = write(EventFd, &One, sizeof(One));
-    (void)R;
-  }
+  if (EventFd < 0)
+    return;
+  // EAGAIN (saturated counter) still leaves the descriptor readable.
+  uint64_t One = 1;
+  ssize_t R = write(EventFd, &One, sizeof(One));
+  (void)R;
+}
+
+void SharedControl::childEventWait(int TimeoutMs) {
+  // A negative descriptor is ignored by poll(2): the wait runs to its
+  // timeout, as the doc of eventFd() promises.
+  pollfd P = {EventFd, POLLIN, 0};
+  if (::poll(&P, 1, TimeoutMs) > 0)
+    eventFdDrain();
 }
 
 void SharedControl::eventFdDrain() {
@@ -556,25 +434,6 @@ void SharedControl::eventFdDrain() {
   uint64_t V = 0;
   ssize_t R = read(EventFd, &V, sizeof(V)); // non-blocking; EAGAIN is fine
   (void)R;
-}
-
-uint64_t SharedControl::childEventCount() const {
-  pthread_mutex_lock(&Layout->ChildEventLock.Mutex);
-  uint64_t C = Layout->ChildEvents;
-  pthread_mutex_unlock(&Layout->ChildEventLock.Mutex);
-  return C;
-}
-
-void SharedControl::childEventWaitTimed(int TimeoutMs, uint64_t Seen) {
-  timespec Deadline = deadlineIn(TimeoutMs);
-  pthread_mutex_lock(&Layout->ChildEventLock.Mutex);
-  while (Layout->ChildEvents == Seen) {
-    if (pthread_cond_timedwait(&Layout->ChildEventLock.Cond,
-                               &Layout->ChildEventLock.Mutex,
-                               &Deadline) == ETIMEDOUT)
-      break;
-  }
-  pthread_mutex_unlock(&Layout->ChildEventLock.Mutex);
 }
 
 void SharedControl::noteCrash() {
@@ -594,6 +453,12 @@ uint64_t SharedControl::timedOutTotal() const {
 }
 uint64_t SharedControl::forkFailedTotal() const {
   return Layout->ForkFailedTotal.load(std::memory_order_relaxed);
+}
+void SharedControl::noteLeaseReclaim() {
+  Layout->LeaseReclaims.fetch_add(1, std::memory_order_relaxed);
+}
+uint64_t SharedControl::leaseReclaimsTotal() const {
+  return Layout->LeaseReclaims.load(std::memory_order_relaxed);
 }
 
 //===----------------------------------------------------------------------===//

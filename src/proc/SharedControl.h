@@ -11,13 +11,8 @@
 ///
 ///  * the process pool of paper Alg. 1 (slot counter + the 75% tuning
 ///    admission gate) — the cross-process counterpart of core/Scheduler;
-///  * barrier slots for @sync, handed out through a shared free-list so
-///    concurrent tuning processes can never collide on one slot;
 ///  * the live-tuning-process counter that lets the root wait for @split
 ///    descendants;
-///  * a child-event condvar that sampling children pulse on exit, so the
-///    supervising tuning process can sleep in bounded waits instead of
-///    blocking indefinitely in waitpid(2);
 ///  * crash/timeout/fork-failure counters (diagnostics for the child
 ///    supervisor);
 ///  * the **commit slab**: a lock-free shared-memory aggregation store
@@ -35,6 +30,13 @@
 /// mmap(MAP_SHARED | MAP_ANONYMOUS) region; no names leak into the
 /// filesystem. Condition variables use CLOCK_MONOTONIC so the timed waits
 /// that drive the supervisor are immune to wall-clock steps.
+///
+/// State that lives and dies with one region — its @sync barrier, its
+/// lease claim counter — is not here: it sits in the region's own shared
+/// table (proc/Runtime.cpp), so a tuning process that dies with a region
+/// open leaks nothing that outlives the mapping. Child-exit wakeups take
+/// no shared lock: each tuning process owns an eventfd (eventFd()) that
+/// the processes it forks inherit and write when they exit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,11 +62,6 @@ namespace proc {
 /// pointers, no non-trivial members).
 struct SharedLayout;
 
-/// Number of barrier slots; allocated through a shared free-list.
-constexpr int NumBarrierSlots = 64;
-/// Number of lease-counter slots for worker-pool sampling regions;
-/// allocated through a shared free-list like barrier slots.
-constexpr int NumLeaseSlots = 64;
 /// Longest variable name a slab record can hold inline; longer names
 /// fall back to the file store.
 constexpr size_t SlabVarNameMax = 40;
@@ -102,6 +99,38 @@ struct SharedLock {
   pthread_cond_t Cond;
 
   void init();
+};
+
+/// A cross-process barrier for @sync (POD; lives in a region's shared
+/// table). The tuning process sets the expected count with init() and
+/// releases each generation; sampling children arrive and block.
+struct SharedBarrier {
+  SharedLock Lock;
+  int Expected;
+  int Arrived;
+  uint64_t Generation;
+
+  /// Tuning side: initialises the lock and expects \p Expected children.
+  void init(int Expected);
+  /// Child side: announce arrival and block until the tuning process
+  /// releases the generation. \p InBarrier, when non-null, is raised while
+  /// the caller is blocked (it lives in a shared child table and lets the
+  /// supervisor repair the counts if the caller dies at the barrier).
+  void arriveAndWait(std::atomic<int32_t> *InBarrier = nullptr);
+  /// Child side: a child that will never arrive (pruned, committed, or
+  /// never forked) leaves the expected set.
+  void leave();
+  /// Tuning side: grow/shrink the expected count (retry respawns).
+  void add(int Delta);
+  /// Tuning side: waits at most \p TimeoutMs for every still-live child
+  /// to arrive; returns true once the barrier is satisfied.
+  bool waitAllTimed(int TimeoutMs);
+  /// Tuning side: open the next generation, releasing every waiter.
+  void release();
+  /// Supervisor side: remove a dead child — undo its arrival if
+  /// \p InBarrier says it died blocked here, and shrink the expected
+  /// count.
+  void reclaimDead(std::atomic<int32_t> *InBarrier);
 };
 
 /// Owner handle over the mmap'd control block.
@@ -156,98 +185,29 @@ public:
   uint64_t nextTpId();
 
   //===--------------------------------------------------------------------===
-  // Barriers for @sync.
-  //===--------------------------------------------------------------------===
-
-  /// Draws a free barrier slot from the shared free-list (blocks if all
-  /// NumBarrierSlots are in use). Regions own their slot until
-  /// releaseBarrierSlot().
-  int acquireBarrierSlot();
-  /// Returns a barrier slot to the free-list.
-  void releaseBarrierSlot(int Slot);
-
-  /// Child side: announce arrival at barrier \p Slot and block until the
-  /// tuning process releases the generation. \p InBarrier, when non-null,
-  /// is raised while the caller is blocked (it lives in a shared child
-  /// table and lets the supervisor repair the counts if the caller dies
-  /// at the barrier).
-  void barrierArriveAndWait(int Slot,
-                            std::atomic<int32_t> *InBarrier = nullptr);
-  /// Child side: a child that will never arrive (pruned / committed)
-  /// leaves the barrier's expected set.
-  void barrierLeave(int Slot);
-  /// Tuning side: set the number of children expected at barrier \p Slot.
-  void barrierReset(int Slot, int Expected);
-  /// Tuning side: grow/shrink the expected count (retry respawns).
-  void barrierAdd(int Slot, int Delta);
-  /// Tuning side: waits at most \p TimeoutMs for every still-live child
-  /// to arrive; returns true once the barrier is satisfied.
-  bool barrierWaitAllTimed(int Slot, int TimeoutMs);
-  /// Tuning side: open the next generation, releasing every waiter.
-  void barrierRelease(int Slot);
-  /// Supervisor side: remove a dead child from barrier \p Slot — undo its
-  /// arrival if \p InBarrier says it died blocked there, and shrink the
-  /// expected count.
-  void barrierReclaimDead(int Slot, std::atomic<int32_t> *InBarrier);
-
-  //===--------------------------------------------------------------------===
-  // Sample-lease counters (worker-pool sampling regions).
-  //===--------------------------------------------------------------------===
-  //
-  // A worker-pool batch (Runtime::regionBatch) forks min(N, pool)
-  // long-lived workers instead of N one-shot children; each worker claims
-  // lease indices from a lock-free monotone counter until the batch is
-  // drained. Only the counter lives here — the per-lease state table is
-  // part of the region's own shared child table, next to the slots it
-  // already supervises.
-
-  /// Draws a free lease-counter slot (blocks if all NumLeaseSlots are in
-  /// use). Regions own their slot until releaseLeaseSlot().
-  int acquireLeaseSlot();
-  /// Returns a lease slot to the free-list.
-  void releaseLeaseSlot(int Slot);
-  /// Tuning side: rewind the claim counter of \p Slot to zero before the
-  /// workers fork.
-  void leaseReset(int Slot);
-  /// Worker side: claims the next sample index only if it lies below
-  /// \p Bound (the claim limit of a pipelined batch, or the lease count),
-  /// else returns -1 without claiming. The claim-limit gate must reject
-  /// BEFORE the claim — an index claimed and then parked on belongs to a
-  /// region whose delivery would stall until its sleeping holder is
-  /// rescheduled.
-  int64_t leaseClaimBounded(int Slot, int64_t Bound);
-  /// Next unclaimed index (acquire load; supervisor orphan scans).
-  int64_t leaseNext(int Slot) const;
-  /// Bumped by the supervisor each time a dead worker's unfinished lease
-  /// is returned for another worker to re-claim.
-  void noteLeaseReclaim();
-  uint64_t leaseReclaimsTotal() const;
-
-  //===--------------------------------------------------------------------===
   // Child events + supervisor counters.
   //===--------------------------------------------------------------------===
 
-  /// Pulsed by sampling children as they exit so a supervising tuning
-  /// process wakes promptly from childEventWaitTimed().
-  void childEventNotify();
-  /// Current value of the event counter. Snapshot this *before* sweeping
-  /// children, then pass it to childEventWaitTimed(): an event posted
-  /// during the sweep then returns immediately instead of being lost
-  /// until the next event or timeout.
-  uint64_t childEventCount() const;
-  /// Sleeps until the event counter advances past \p Seen (a
-  /// childEventCount() snapshot) or \p TimeoutMs passes, whichever first.
-  /// Abnormal deaths emit no event, so callers must re-poll on timeout.
-  void childEventWaitTimed(int TimeoutMs, uint64_t Seen);
-
-  /// An eventfd mirrored with the child-event condvar: childEventNotify()
-  /// also writes it, so a poll(2) loop (the net lease server's pump) can
-  /// wake instantly on local child events alongside socket readiness.
-  /// Non-blocking; forked children inherit the descriptor. The counter is
-  /// left readable until eventFdDrain(), so an event posted during a
-  /// sweep makes the next poll return immediately instead of being lost
-  /// until the timeout. -1 before init().
+  /// The calling tuning process' child-event eventfd: every sampling
+  /// process it forks inherits the descriptor and writes it on exit
+  /// (childEventNotify()), and its supervisor waits on it — alone
+  /// (childEventWait()), or in the net lease server's poll(2) beside the
+  /// agent sockets. The counter stays readable until eventFdDrain(), so
+  /// an event posted during a sweep makes the next wait return at once
+  /// instead of being lost until the timeout. Non-blocking; -1 if the
+  /// kernel refused one, and waits then run to their timeout. init()
+  /// opens the root's.
   int eventFd() const { return EventFd; }
+  /// A @split child's own eventfd, replacing the inherited one: its
+  /// parent's and siblings' children keep waking only their own
+  /// supervisors.
+  void reopenEventFd();
+  /// Sampling side: wakes the supervising tuning process.
+  void childEventNotify();
+  /// Tuning side: waits at most \p TimeoutMs for a child event and
+  /// consumes it. Abnormal deaths emit no event, so callers must re-poll
+  /// on timeout.
+  void childEventWait(int TimeoutMs);
   /// Consumes the eventfd counter after a poll has observed it.
   void eventFdDrain();
 
@@ -257,6 +217,10 @@ public:
   uint64_t crashedTotal() const;
   uint64_t timedOutTotal() const;
   uint64_t forkFailedTotal() const;
+  /// Bumped by the supervisor each time a dead worker's unfinished lease
+  /// is returned for another worker to re-claim.
+  void noteLeaseReclaim();
+  uint64_t leaseReclaimsTotal() const;
 
   //===--------------------------------------------------------------------===
   // Commit slab (shared-memory aggregation store).

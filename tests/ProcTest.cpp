@@ -524,16 +524,89 @@ int scenarioDeepSplitChain() {
   return 0;
 }
 
+/// The probe of a nested @split on a small pool: the root splits, the
+/// child splits again, and every process calls finish() right away. A
+/// finish() that waits on its split child while it still holds its pool
+/// slot starves the child's own split() at the 75% gate, so at MaxPool
+/// <= 4 the run hangs; the alarm turns that into a fast signal death.
+int nestedSplitFinishes(unsigned MaxPool) {
+  alarm(10);
+  SharedCell *Cells = mapSharedCells();
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = MaxPool;
+  Opts.Seed = 13;
+  Rt.init(Opts);
+  if (Rt.split()) {
+    if (Rt.split()) {
+      Cells[0].add(2);
+      Rt.finishAndExit();
+    }
+    Cells[0].add(1);
+    Rt.finishAndExit();
+  }
+  Rt.finish();
+  // finish() returned, so both descendants are done.
+  CHECK_OR(Cells[0].count() == 2, 2);
+  CHECK_OR(Cells[0].Min.load() == 1 && Cells[0].Max.load() == 2, 3);
+  return 0;
+}
+
+/// Tuning processes that die with a region open must leak nothing later
+/// regions need: 70 @split children each SIGKILL themselves inside a
+/// fork-mode sampling(1) region, then 70 more inside a pool region, and
+/// the root still runs one region of each kind and finishes. Region state
+/// lent out of a 64-entry shared pool would lose an entry per death, and
+/// the 65th region of that kind would wait forever.
+int scenarioDeadSplitRegionsLeakNothing() {
+  alarm(60);
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 8;
+  Opts.Seed = 34;
+  Rt.init(Opts);
+
+  int Committed = 0;
+  auto Body = [&] {
+    double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+    if (Rt.isSampling())
+      Rt.aggregate("x", encodeDouble(X), nullptr);
+    if (Rt.tuningProcessId() != 0)
+      raise(SIGKILL); // a split child dies with its region open
+    Rt.aggregate("x", encodeDouble(0), [&](AggregationView &V) {
+      Committed += V.countStatus(SampleStatus::Committed);
+    });
+  };
+  const int Deaths = 70;
+  for (int Pool = 0; Pool != 2; ++Pool) {
+    for (int I = 0; I != Deaths; ++I) {
+      if (!Rt.split())
+        continue;
+      if (Pool) {
+        Rt.samplingRegion(1, Body);
+      } else {
+        Rt.sampling(1);
+        Body();
+      }
+      _exit(1); // unreachable: Body killed this process
+    }
+  }
+  Rt.sampling(1);
+  Body();
+  Rt.samplingRegion(1, Body);
+  CHECK_OR(Committed == 2, 2);
+  Rt.finish();
+  return 0;
+}
+
 int scenarioSplitInsidePoolRegions() {
   // split() from inside a pool region's aggregation callback: once in a
   // one-region batch (samplingRegion) and once in the first delivery of
   // a three-region batch. Each split child must leave the region's
-  // table, workers, barrier slot and lease slot to its parent and run
-  // what follows on slots of its own -- the batch's child runs the two
-  // remaining regions itself, as a split child of sequential regions
-  // would. A slot released by both processes makes the slot free-list
-  // abort the second releaser, and a region run on a stale table
-  // delivers short counts.
+  // table, workers and slots to its parent and run what follows on
+  // slots of its own -- the batch's child runs the two remaining regions
+  // itself, as a split child of sequential regions would. A region run
+  // on a stale table delivers short counts.
   SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
@@ -815,6 +888,15 @@ TEST(ProcRuntimeTest, SplitInsidePoolRegions) {
 
 TEST(ProcRuntimeTest, DeepSplitChains) {
   EXPECT_EQ(runScenario(scenarioDeepSplitChain), 0);
+}
+
+TEST(ProcRuntimeTest, NestedSplitFinishesOnSmallPool) {
+  EXPECT_EQ(runScenario([] { return nestedSplitFinishes(2); }), 0);
+  EXPECT_EQ(runScenario([] { return nestedSplitFinishes(4); }), 0);
+}
+
+TEST(ProcRuntimeTest, DeadSplitRegionsLeakNothing) {
+  EXPECT_EQ(runScenario(scenarioDeadSplitRegionsLeakNothing), 0);
 }
 
 TEST(ProcRuntimeTest, StratifiedVariablesDecorrelated) {
@@ -1248,11 +1330,10 @@ int scenarioDeadlineSparesBarrierWaiters() {
   // The deadline passes while samples 1 and 2 wait at @sync and sample 0
   // has not arrived. Only sample 0 is killed there: a SIGKILL on a sample
   // waiting on the barrier's process-shared condvar would leave the
-  // condvar expecting it, and the release broadcast (now, or in a later
-  // region reusing the barrier slot) would block for good. Released past
-  // the deadline, samples 1 and 2 race its next enforcement to their
-  // commit, so either outcome counts. Two more regions then reuse the
-  // slot.
+  // condvar expecting it, and the release broadcast would block for
+  // good. Released past the deadline, samples 1 and 2 race its next
+  // enforcement to their commit, so either outcome counts. Two more sync
+  // regions follow.
   alarm(20);
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;
@@ -1287,9 +1368,10 @@ int scenarioDeadlineSparesBarrierWaiters() {
 }
 
 int scenarioConcurrentRegionsDistinctBarriers() {
-  // Two post-split tuning processes run sync regions concurrently; the
-  // shared barrier free-list must hand them distinct slots (the old
-  // hash-based choice could collide and corrupt the counts).
+  // Two post-split tuning processes run sync regions concurrently; each
+  // region's barrier lives in its own table, so they never share one (an
+  // old hash-based choice of a shared barrier could collide and corrupt
+  // the counts).
   SharedCell *Cells = mapSharedCells();
   Runtime &Rt = Runtime::get();
   RuntimeOptions Opts;

@@ -4,10 +4,10 @@
 //
 // Randomized soak driver for the fork runtime: each seed expands into a
 // complete region schedule — backend, fork-per-sample or worker pool,
-// sample count, retries, timeouts, an optional @split, and a fault plan
-// drawn from the recoverable set (EINTR storms, child kill points, fork
-// failures, short writes) — and the run must end with every invariant
-// intact:
+// sample count, retries, timeouts, an optional @split (sometimes nested
+// one level deeper), and a fault plan drawn from the recoverable set
+// (EINTR storms, child kill points, fork failures, short writes) — and
+// the run must end with every invariant intact:
 //
 //   * no zombie children (waitpid(-1) says ECHILD),
 //   * no leaked file descriptors,
@@ -77,6 +77,7 @@ struct Schedule {
   double TimeoutSec = 0;  // region deadline; 0 = none
   int Regions = 1;
   bool Split = false;     // run one region in a @split child too
+  bool SplitTwice = false; // ... and in a @split child of that child
   bool Trace = false;
   int CrashIdx = -1;      // sample index that _exit(3)s
   int SlowIdx = -1;       // sample index that sleeps into the deadline
@@ -192,6 +193,11 @@ Schedule expand(uint64_t Seed) {
   // seed's other draws stay as they were.
   S.Batch = S.Pool && (S.Pipeline > 1 || OneBatch ||
                        (S.Regions > 1 && (Seed & 1)));
+  // Half the split schedules nest a second split level, by seed bit 1,
+  // which no draw reads (derived like Batch, so no other draw moves). At
+  // MaxPool 4 the child's second split() passes the 75% gate only once
+  // the root gives its pool slot back in finish().
+  S.SplitTwice = S.Split && (Seed & 2);
   return S;
 }
 
@@ -204,8 +210,8 @@ std::string describe(const Schedule &S) {
                 S.Seed, S.Backend == StoreBackend::Shm ? "shm" : "files",
                 S.Pool ? "workers" : "fork", S.N, S.Workers, S.MaxPool,
                 S.Pipeline, int(S.Batch), S.Regions, S.NetAgents, S.Retries,
-                S.TimeoutSec, int(S.Split), int(S.Trace), S.CrashIdx,
-                S.SlowIdx, S.Plan.c_str());
+                S.TimeoutSec, int(S.Split) + int(S.SplitTwice), int(S.Trace),
+                S.CrashIdx, S.SlowIdx, S.Plan.c_str());
   return Buf;
 }
 
@@ -306,8 +312,11 @@ int runSchedule(const Schedule &S) {
 
   if (S.Split && Rt.split()) {
     // Split child: one region of its own, then a clean exit. Its exit
-    // code folds into the root's reap; invariant failures surface as an
-    // abnormal split-child death the root logs (and ZombieLeft below).
+    // code folds into its parent's reap; invariant failures surface as an
+    // abnormal split-child death the parent logs (and ZombieLeft below).
+    // With SplitTwice it splits first, and its child does the same.
+    if (S.SplitTwice)
+      Rt.split();
     int Code = runRegions(Rt, S, /*Batch=*/false, 1);
     if (Code)
       _exit(Code);
