@@ -8,7 +8,10 @@
 
 #include "inject/Sys.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -55,6 +58,10 @@ bool AgentChannel::ensureConnected() {
       ::close(S);
       continue;
     }
+    // No Nagle: a ClaimReq or close ack queued behind an unacknowledged
+    // CommitBatch would otherwise wait out the server's delayed ACK.
+    int One = 1;
+    ::setsockopt(S, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     Fd = S;
     if (!sendFrame(encodeHello(AgentId, nowNs())))
       continue; // sendFrame closed Fd; retry from scratch

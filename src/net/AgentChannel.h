@@ -41,6 +41,9 @@ public:
   /// good (~2s of refused connections) — the agent should exit.
   bool ensureConnected();
   bool connected() const { return Fd >= 0; }
+  /// The connection's socket, -1 when disconnected (read-only access for
+  /// socket-option checks).
+  int fd() const { return Fd; }
   void closeConn();
 
   /// Sends one complete frame. False (connection closed) on any error —

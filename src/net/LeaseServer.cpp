@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -169,6 +170,11 @@ void LeaseServer::acceptReady() {
     int Fd = sys::acceptConn(ListenFd);
     if (Fd < 0)
       return; // EAGAIN (drained) or an injected failure: try next pump
+    // No Nagle: a ClaimResp or RegionClose queued behind an
+    // unacknowledged frame would otherwise wait out the agent's delayed
+    // ACK.
+    int One = 1;
+    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     auto C = std::make_unique<Conn>();
     C->Fd = Fd;
     ++Stats.Accepts;
@@ -328,13 +334,6 @@ void LeaseServer::closeAll() {
     ::close(ListenFd);
     ListenFd = -1;
   }
-}
-
-size_t LeaseServer::agents() const {
-  size_t N = 0;
-  for (const std::unique_ptr<Conn> &C : Conns)
-    N += C->HaveHello;
-  return N;
 }
 
 size_t LeaseServer::ownedLeases() const {

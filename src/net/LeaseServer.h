@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The tuning process' end of the distributed lease protocol. Remote
-/// sampling agents connect over TCP, claim lease ranges out of the same
-/// shared claim counter local pool workers race on, run the samples in
-/// their own process, and stream results back in CommitBatch frames.
+/// sampling agents connect over TCP, claim leases one at a time out of
+/// the same shared claim counter local pool workers race on, run the
+/// samples in their own process, and send results back in CommitBatch
+/// frames.
 ///
 /// The server is deliberately *threadless*: it owns non-blocking-accept
 /// sockets and a poll(2) pump that the runtime's aggregate() supervisor
@@ -62,9 +63,9 @@ struct NetStats {
 class LeaseServer {
 public:
   struct Callbacks {
-    /// Grant leases to a remote agent that asked for up to \p Want. The
-    /// runtime decides how many (its share of the work left) and which
-    /// (returned-first, then the bounded shared counter), and must mark
+    /// Grant up to \p Want leases to a remote agent (agents ask for one
+    /// at a time). The runtime picks them the way a local worker claims
+    /// (returned-first, then the bounded shared counter) and must mark
     /// every returned index claimed before this returns.
     std::function<std::vector<int64_t>(uint32_t Want)> Claim;
     /// Apply one lease result. Only called while the sending connection
@@ -119,8 +120,9 @@ public:
   size_t ownedLeases() const;
   bool ownsLease(int64_t Lease) const;
   size_t connections() const { return Conns.size(); }
-  /// Connections that have sent Hello: the agents a grant shares with.
-  size_t agents() const;
+  /// Socket of connection \p I (read-only access for socket-option
+  /// checks).
+  int connectionFd(size_t I) const { return Conns[I]->Fd; }
 
   /// Deadline path: drops every connection, returning owned leases
   /// through Callbacks::Return (which, past the deadline, retires them

@@ -92,7 +92,7 @@ struct RegionOpenMsg {
 
 struct ClaimReqMsg {
   uint64_t Gen = 0;
-  uint32_t Want = 0; ///< lease-range size the agent asks for
+  uint32_t Want = 0; ///< leases the agent asks for (agents ask for 1)
 };
 
 struct ClaimRespMsg {

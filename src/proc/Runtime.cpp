@@ -1742,7 +1742,6 @@ void Runtime::openLeaseTable(uint64_t Base, int Regions, int N, int W,
   mapRegionTable(Base, Regions, N, W);
   Table->PoolMode = 1;
   Table->ClaimLimit.store(ClaimInit, std::memory_order_release);
-  TableWorkers = W;
   // Workers run their leases at different times, so a pool region has no
   // @sync barrier: its Barrier stays uninitialised, and no worker owes it
   // a leave.
@@ -1919,13 +1918,12 @@ void Runtime::spawnNetAgents() {
 void Runtime::shutdownNetAgents() {
   if (NetServer) {
     NetServer->broadcastShutdown();
-    // Two short pump rounds give in-flight TraceFrame batches a bounded
-    // window to land before the kill; a half-sent frame from a killed
-    // agent is discarded by the frame buffer as usual.
-    if (!NetAgentPids.empty()) {
+    // Up to two short pump rounds give in-flight TraceFrame batches a
+    // bounded window to land before the kill, and stop as soon as every
+    // agent's EOF has closed its connection; a half-sent frame from a
+    // killed agent is discarded by the frame buffer as usual.
+    for (int Round = 0; Round != 2 && NetServer->connections() != 0; ++Round)
       NetServer->pump(10);
-      NetServer->pump(10);
-    }
   }
   for (pid_t Pid : NetAgentPids) {
     kill(Pid, SIGKILL);
@@ -1956,15 +1954,11 @@ void Runtime::netCloseRegion() {
     NetServer->closeRegion();
 }
 
-/// Server callback: grant a remote agent its share of the work that is
-/// left — at most ⌈claimable ÷ claimants⌉ leases (guided
-/// self-scheduling), where claimable counts the unclaimed leases below
-/// the claim limit plus the returned ones, and claimants the table's
-/// local workers plus every agent that has sent Hello. Grants shrink as
-/// the window drains, so no agent sits on a long chunk while the others
-/// go idle. The leases themselves are the local workers' claim
-/// (tryClaimLease: returned leases first, then the bounded shared
-/// counter), just batched, and marked LsClaimed here, in the tuning
+/// Server callback: grant a remote agent up to \p Want leases — one,
+/// as agents ask, so agents and local workers self-schedule lease by
+/// lease and no one sits on a chunk while the others go idle. Each is
+/// the local workers' claim (tryClaimLease: returned leases first, then
+/// the bounded shared counter), marked LsClaimed here, in the tuning
 /// process. A grant is a reservation, not a run: it charges no attempt,
 /// because a disconnect hands back every lease of it, started or not,
 /// and the server cannot tell which ones ran. So a lease lost in
@@ -1974,17 +1968,7 @@ std::vector<int64_t> Runtime::netClaimLeases(uint32_t Want) {
   std::vector<int64_t> Out;
   if (!Table || !Table->PoolMode)
     return Out;
-  int64_t Limit = std::min<int64_t>(
-      Table->ClaimLimit.load(std::memory_order_acquire), Table->NumLeases);
-  int64_t Claimable =
-      std::max<int64_t>(
-          0, Limit - Table->ClaimNext.load(std::memory_order_acquire)) +
-      Table->LeasesReturned.load(std::memory_order_acquire);
-  int64_t Claimants = std::max<int64_t>(
-      1, TableWorkers + static_cast<int64_t>(NetServer->agents()));
-  size_t Grant = static_cast<size_t>(std::min<int64_t>(
-      Want, (Claimable + Claimants - 1) / Claimants));
-  while (Out.size() < Grant) {
+  while (Out.size() < Want) {
     int Idx = tryClaimLease(/*Worker=*/false);
     if (Idx < 0)
       break; // drained (or pipeline-gated): the agent re-asks later
@@ -2034,8 +2018,8 @@ bool Runtime::netReturnLease(int64_t Lease) {
                              /*Signal=*/0);
 }
 
-/// An agent's whole life: connect, Hello, then claim lease ranges and
-/// stream CommitBatch frames back until Shutdown. The agent never
+/// An agent's whole life: connect, Hello, then claim leases and send
+/// CommitBatch frames back until Shutdown. The agent never
 /// touches the lease table, the slab, or the pool gate — and it does not
 /// even use the inherited trace ring: a real remote agent would have no
 /// shared mapping at all, so its events buffer locally (traceEmitSlow)
@@ -2044,10 +2028,11 @@ bool Runtime::netReturnLease(int64_t Lease) {
 /// clean reconnect; whatever it had claimed has already been handed back
 /// by the server's disconnect path.
 ///
-/// Every claim asks for the whole window and the server sizes the grant
-/// (netClaimLeases). Every RegionClose is acked with a TraceFrame, empty
-/// or not, whether the agent was parked or waiting on a claim: the
-/// server's close harvest waits for one per live agent.
+/// Every claim asks for one lease (netClaimLeases), so an agent holds
+/// at most one at a time and pays one claim round trip per lease. Every
+/// RegionClose is acked with a TraceFrame, empty or not, whether the
+/// agent was parked or waiting on a claim: the server's close harvest
+/// waits for one per live agent.
 void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   Mode = ModeKind::Sampling;
   NetAgentMode = true;
@@ -2098,7 +2083,7 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
     }
     net::ClaimReqMsg Req;
     Req.Gen = Region.Gen;
-    Req.Want = Region.Regions * Region.N;
+    Req.Want = 1;
     if (!Chan.sendFrame(net::encodeClaimReq(Req)))
       continue;
     // Wait for the matching ClaimResp; a RegionOpen or RegionClose

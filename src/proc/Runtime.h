@@ -198,8 +198,8 @@ struct RuntimeOptions {
   /// Remote sampling agents (distributed lease protocol, src/net): the
   /// root tuning process opens a TCP lease server and forks this many
   /// agent processes — stand-ins for agents on other hosts — at the
-  /// first worker-pool region. Agents claim lease ranges over the wire,
-  /// run the region body locally, and stream commits back in batched
+  /// first worker-pool region. Agents claim one lease at a time over
+  /// the wire, run the region body locally, and send commits back in
   /// frames that fold exactly like local shm-slab records, so mixed
   /// local/remote regions aggregate bitwise-identically. Root tuning
   /// process only; worker-pool regions (samplingRegion / regionBatch)
@@ -757,12 +757,11 @@ private:
   int WorkerIndex = -1;             // its slot in the region table
   int LeaseIndex = -1; // claimed cell of the batch's flat lease table;
                        // ChildIndex is the within-region sample index
-  // Local workers the lease table opened with (remote grants divide the
-  // remaining work by them plus the agents). kmeans-batch is sensitive
-  // to where members sit: an int once declared among the worker-pool
-  // ints above, which moved every later member by 8 bytes against the
-  // earlier ones, cost it ~8% of its samples/s (cause not understood).
-  int TableWorkers = 0;
+  // kmeans-batch is sensitive to where members sit: an int once declared
+  // among the worker-pool ints above, which moved every later member by
+  // 8 bytes against the earlier ones, cost it ~8% of its samples/s
+  // (cause not understood). The padding word after LeaseIndex keeps
+  // NetServer and every later member where they were.
 
   // Distributed-agent state. The server lives in the root tuning
   // process only; NetAgentMode marks a forked agent process, whose

@@ -15,16 +15,19 @@
 //     are survived through the agents' reconnect path,
 //   - regionBatch() composes with remote agents: one lease window spans
 //     the batch and per-region aggregates still match a local run,
-//   - agents do not stall a region: every RegionClose is acked even
-//     with tracing off, and no grant exceeds the agent's share of the
-//     work left.
+//   - agents do not stall a region: both ends of a lease connection
+//     turn Nagle's algorithm off, every RegionClose is acked even with
+//     tracing off, every grant is exactly one lease, and finish() waits
+//     for the agents' EOFs rather than a fixed pump window.
 //
 // Runtime scenarios run in forked children because the runtime is a
 // per-process singleton.
 //
 //===----------------------------------------------------------------------===//
 
+#include "net/AgentChannel.h"
 #include "net/HostPort.h"
+#include "net/LeaseServer.h"
 #include "net/Wire.h"
 #include "proc/Runtime.h"
 #include "strategy/SamplingStrategy.h"
@@ -34,6 +37,7 @@
 #include <arpa/inet.h>
 #include <csignal>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/wait.h>
@@ -41,6 +45,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -257,6 +262,38 @@ TEST(FrameBufferTest, OversizedLengthIsCorrupt) {
   std::vector<uint8_t> P;
   EXPECT_FALSE(B.next(P));
   EXPECT_TRUE(B.corrupt());
+}
+
+//===----------------------------------------------------------------------===//
+// Lease connections
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// TCP_NODELAY as getsockopt(2) reads it back on \p Fd; -1 on error.
+int noDelayOf(int Fd) {
+  int V = 0;
+  socklen_t Len = sizeof(V);
+  if (getsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &V, &Len) != 0)
+    return -1;
+  return V;
+}
+
+} // namespace
+
+// Small frames (a ClaimReq, a close ack) must not wait behind an
+// unacknowledged frame for the peer's delayed ACK: both ends of every
+// lease connection send without Nagle's algorithm.
+TEST(LeaseConnectionTest, BothEndsDisableNagle) {
+  LeaseServer Server{LeaseServer::Callbacks{}};
+  ASSERT_TRUE(Server.listen("127.0.0.1"));
+  AgentChannel Chan("127.0.0.1", Server.port(), /*AgentId=*/1);
+  ASSERT_TRUE(Chan.ensureConnected());
+  for (int I = 0; I != 100 && Server.connections() == 0; ++I)
+    Server.pump(10);
+  ASSERT_EQ(Server.connections(), 1u);
+  EXPECT_GT(noDelayOf(Chan.fd()), 0);
+  EXPECT_GT(noDelayOf(Server.connectionFd(0)), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -637,8 +674,8 @@ int scenarioNetTraceCorrelation() {
 
 /// The agent path's stall regressions run on this shape: a few
 /// 12-sample samplingRegion()s with ~2 ms bodies on one local worker
-/// and two agents, so a fair grant is ⌈12 ÷ 3⌉ = 4 leases. Every
-/// measured sample must commit exactly once. With tracing off, every
+/// and two agents, which claim one lease at a time. Every measured
+/// sample must commit exactly once. With tracing off, every
 /// RegionClose must come back acked by both agents (TraceFrames are
 /// then close acks only); an ack that missed its close's 25 ms harvest
 /// is read by a later pump, so one-sample regions keep the server
@@ -700,34 +737,57 @@ int scenarioNetCloseAckedGrantShared() {
   std::vector<std::string> Lines;
   CHECK_OR(readTraceLines(TracePath, Lines), 4);
   std::remove(TracePath.c_str());
-  // Grants (net-claim b = leases granted) once both agents have sent
-  // Hello (net-accept a = agent id) share the window three ways; an
-  // earlier grant shares it with the local worker and one agent only.
-  std::vector<double> Helloed;
-  double BothHello = -1;
-  int Shared = 0;
+  // Every grant (net-claim b = leases granted) is exactly one lease, so
+  // agents and the local worker self-schedule lease by lease.
+  int Grants = 0;
   for (const std::string &L : Lines) {
-    double Ts, A, B;
-    if (!jsonNumField(L, "ts", Ts))
-      continue;
-    if (L.find("\"name\": \"net-accept\"") != std::string::npos &&
-        jsonNumField(L, "a", A) && BothHello < 0) {
-      bool Seen = false;
-      for (double H : Helloed)
-        Seen |= H == A;
-      if (!Seen)
-        Helloed.push_back(A);
-      if (Helloed.size() == 2)
-        BothHello = Ts;
-    }
-    if (L.find("\"name\": \"net-claim\"") == std::string::npos ||
-        BothHello < 0 || Ts <= BothHello)
+    double B;
+    if (L.find("\"name\": \"net-claim\"") == std::string::npos)
       continue;
     CHECK_OR(jsonNumField(L, "b", B), 5);
-    CHECK_OR(B >= 1 && B <= 4, 6);
-    ++Shared;
+    CHECK_OR(B == 1, 6);
+    ++Grants;
   }
-  CHECK_OR(Shared > 0, 7);
+  CHECK_OR(Grants > 0, 7);
+  return 0;
+}
+
+/// CLOCK_MONOTONIC now, in seconds.
+double monoSeconds() {
+  timespec T;
+  clock_gettime(CLOCK_MONOTONIC, &T);
+  return static_cast<double>(T.tv_sec) + static_cast<double>(T.tv_nsec) * 1e-9;
+}
+
+/// finish() broadcasts Shutdown and pumps only until both agents' EOFs
+/// have closed their connections, so it is not a fixed 10 ms pump
+/// window: of ten init() -> samplingRegion(4) -> finish() cycles with
+/// two agents, at most one finish() may take 10 ms or more.
+int scenarioNetFinishWaitsForAgents() {
+  int Slow = 0;
+  for (int Cycle = 0; Cycle != 10; ++Cycle) {
+    Runtime &Rt = Runtime::get();
+    RuntimeOptions Opts;
+    Opts.MaxPool = 8;
+    Opts.Seed = 84;
+    Opts.Backend = StoreBackend::Shm;
+    Opts.NetAgents = 2;
+    Rt.init(Opts);
+    RegionOptions Ro;
+    Ro.Workers = 1;
+    Rt.samplingRegion(4, Ro, [&] {
+      double X = Rt.sample("x", Distribution::uniform(0.0, 1.0));
+      if (Rt.isSampling()) {
+        usleep(2000);
+        Rt.aggregate("x", encodeDouble(X), nullptr);
+      }
+      Rt.aggregate("x", encodeDouble(0), nullptr);
+    });
+    double T0 = monoSeconds();
+    Rt.finish();
+    Slow += monoSeconds() - T0 >= 0.010;
+  }
+  CHECK_OR(Slow <= 1, 2);
   return 0;
 }
 
@@ -777,6 +837,10 @@ TEST(NetRuntimeTest, AgentTraceRecordsCorrelateIntoRegionSpan) {
 
 TEST(NetRuntimeTest, EveryCloseAckedAndGrantsShared) {
   EXPECT_EQ(runScenario(scenarioNetCloseAckedGrantShared), 0);
+}
+
+TEST(NetRuntimeTest, FinishWaitsForAgentsNotAClock) {
+  EXPECT_EQ(runScenario(scenarioNetFinishWaitsForAgents), 0);
 }
 
 //===----------------------------------------------------------------------===//
