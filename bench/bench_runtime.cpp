@@ -280,10 +280,7 @@ void BM_RegionAggregate(benchmark::State &State) {
   State.counters["net_bytes_in"] = static_cast<double>(M.NetBytesIn);
   State.counters["net_bytes_out"] = static_cast<double>(M.NetBytesOut);
   State.counters["net_recv_hello"] = static_cast<double>(M.NetRecvHello);
-  State.counters["net_recv_claim_req"] =
-      static_cast<double>(M.NetRecvClaimReq);
-  State.counters["net_recv_commit_batch"] =
-      static_cast<double>(M.NetRecvCommitBatch);
+  State.counters["net_recv_commit"] = static_cast<double>(M.NetRecvCommit);
   State.counters["net_recv_trace"] = static_cast<double>(M.NetRecvTrace);
   State.counters["slab_recycles"] = static_cast<double>(M.SlabRecycles);
   State.counters["slab_epoch_hw"] = static_cast<double>(M.SlabEpochHighWater);

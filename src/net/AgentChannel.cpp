@@ -10,7 +10,6 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -58,8 +57,8 @@ bool AgentChannel::ensureConnected() {
       ::close(S);
       continue;
     }
-    // No Nagle: a ClaimReq or close ack queued behind an unacknowledged
-    // CommitBatch would otherwise wait out the server's delayed ACK.
+    // No Nagle: a close ack queued behind an unacknowledged Commit would
+    // otherwise wait out the server's delayed ACK.
     int One = 1;
     ::setsockopt(S, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     Fd = S;
@@ -95,13 +94,4 @@ bool AgentChannel::recvFrame(std::vector<uint8_t> &Out) {
   }
   closeConn();
   return false;
-}
-
-bool AgentChannel::waitReadable(int TimeoutMs) {
-  if (Fd < 0)
-    return false;
-  if (In.buffered() != 0)
-    return true;
-  pollfd P{Fd, POLLIN, 0};
-  return ::poll(&P, 1, TimeoutMs) > 0;
 }

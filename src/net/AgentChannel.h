@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The sampling agent's end of the lease protocol: one blocking TCP
-/// connection with connect backoff and Hello on (re)connect. An agent
-/// that loses its connection — server restart, injected ECONNRESET, a
-/// torn frame — just reconnects and re-Hellos: anything it had claimed
+/// connection with connect backoff and Hello on (re)connect. The agent
+/// only ever waits for the server's next frame (a Grant, a RegionClose
+/// or Shutdown) and answers it; it never asks for work. An agent that
+/// loses its connection — server restart, injected ECONNRESET, a torn
+/// frame — just reconnects and re-Hellos: the lease it had been granted
 /// was already handed back to the pool by the server's disconnect path,
 /// and anything it had half-sent is discarded by the server's frame
 /// buffer, so a reconnecting agent always starts from a clean slate.
@@ -54,13 +56,6 @@ public:
   /// Blocks until the next complete frame payload. False (connection
   /// closed) on disconnect or a corrupt stream.
   bool recvFrame(std::vector<uint8_t> &Out);
-
-  /// Waits up to \p TimeoutMs for the server's next frame without
-  /// reading it: true when bytes are already buffered or the connection
-  /// turned readable (data, EOF or an error, which the next recvFrame()
-  /// reports). An agent's pause after an empty grant, cut short by any
-  /// frame the server sends meanwhile.
-  bool waitReadable(int TimeoutMs);
 
 private:
   std::string Addr;

@@ -68,23 +68,15 @@ bool LeaseServer::listen(const std::string &Addr) {
   return true;
 }
 
-void LeaseServer::openRegion(uint64_t TpId, uint64_t Base, uint32_t Regions,
-                             uint32_t N, uint32_t Kind) {
+void LeaseServer::openRegion(uint64_t TpId, uint64_t Base, uint32_t N,
+                             uint32_t Kind) {
   ++Gen;
   RegionIsOpen = true;
   Cur.Gen = Gen;
   Cur.TpId = TpId;
   Cur.Base = Base;
-  Cur.Regions = Regions;
   Cur.N = N;
   Cur.Kind = Kind;
-  std::vector<uint8_t> Frame = encodeRegionOpen(Cur);
-  for (size_t I = Conns.size(); I-- != 0;) {
-    if (!Conns[I]->HaveHello)
-      continue;
-    if (!sendFrame(*Conns[I], Frame))
-      disconnect(I);
-  }
 }
 
 void LeaseServer::closeRegion() {
@@ -94,18 +86,17 @@ void LeaseServer::closeRegion() {
   std::vector<uint8_t> Frame = encodeRegionClose(Gen);
   for (size_t I = Conns.size(); I-- != 0;) {
     Conn &C = *Conns[I];
-    // A settled region has no owned leases left; an early teardown hands
-    // any leftovers back to the runtime's retry machinery.
-    for (int64_t L : C.Owned)
-      if (CB.Return && CB.Return(L))
-        ++Stats.LeasesReturned;
-    C.Owned.clear();
+    // A settled region has no owned lease left; an early teardown hands
+    // a leftover back to the runtime's retry machinery.
+    if (C.Owned >= 0 && CB.Return && CB.Return(C.Owned))
+      ++Stats.LeasesReturned;
+    C.Owned = -1;
     if (C.HaveHello && !sendFrame(C, Frame))
       disconnect(I);
   }
   // Ack harvest: every live agent answers RegionClose with a TraceFrame
   // flush (possibly empty), so its buffered records — and any flush
-  // still in flight behind its last CommitBatch — land before the
+  // still in flight behind its last Commit — land before the
   // region settles and emits RegionEnd. A healthy agent costs one round
   // trip; only a dead or wedged one can stall the close, by at most
   // CloseHarvestNs, and its straggler records are picked up by later
@@ -131,6 +122,7 @@ void LeaseServer::closeRegion() {
 }
 
 void LeaseServer::pump(int TimeoutMs, int WakeFd) {
+  grantIdle();
   std::vector<pollfd> Pfds;
   Pfds.reserve(Conns.size() + 2);
   size_t ListenAt = static_cast<size_t>(-1), WakeAt = static_cast<size_t>(-1);
@@ -148,7 +140,8 @@ void LeaseServer::pump(int TimeoutMs, int WakeFd) {
 
   int R = ::poll(Pfds.data(), Pfds.size(), TimeoutMs);
   if (R <= 0)
-    return; // timeout or EINTR: the supervisor loop re-enters
+    return; // timeout or EINTR: the supervisor loop re-enters, and the
+            // next pump grants first thing
   if (ListenAt != static_cast<size_t>(-1) && (Pfds[ListenAt].revents & POLLIN))
     acceptReady();
   (void)WakeAt; // the caller drains the eventfd after every pump
@@ -163,6 +156,26 @@ void LeaseServer::pump(int TimeoutMs, int WakeFd) {
     if (!readConn(*Conns[I]))
       disconnect(I);
   }
+  grantIdle();
+}
+
+void LeaseServer::grantIdle() {
+  if (!RegionIsOpen || !CB.Claim)
+    return;
+  for (size_t I = Conns.size(); I-- != 0;) {
+    Conn &C = *Conns[I];
+    if (!C.HaveHello || C.Owned >= 0)
+      continue;
+    int64_t L = CB.Claim();
+    if (L < 0)
+      return; // drained (or pipeline-gated): nobody else gets one either
+    C.Owned = L;
+    ++Stats.RemoteLeases;
+    traceHook(obs::EventKind::NetClaim, C.AgentId, 1);
+    Cur.Lease = L;
+    if (!sendFrame(C, encodeGrant(Cur)))
+      disconnect(I); // hands the lease straight back
+  }
 }
 
 void LeaseServer::acceptReady() {
@@ -170,9 +183,8 @@ void LeaseServer::acceptReady() {
     int Fd = sys::acceptConn(ListenFd);
     if (Fd < 0)
       return; // EAGAIN (drained) or an injected failure: try next pump
-    // No Nagle: a ClaimResp or RegionClose queued behind an
-    // unacknowledged frame would otherwise wait out the agent's delayed
-    // ACK.
+    // No Nagle: a Grant or RegionClose queued behind an unacknowledged
+    // frame would otherwise wait out the agent's delayed ACK.
     int One = 1;
     ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
     auto C = std::make_unique<Conn>();
@@ -219,45 +231,21 @@ bool LeaseServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
     if (!SeenAgents.insert(Id).second)
       ++Stats.Reconnects;
     traceHook(obs::EventKind::NetAccept, Id, Gen);
-    // Late joiner / reconnect during an open region: push the identity
-    // it missed so it can start claiming immediately.
-    if (RegionIsOpen)
-      return sendFrame(C, encodeRegionOpen(Cur));
-    return true;
+    return true; // idle: the pump's next grant round serves it
   }
-  case FrameType::ClaimReq: {
-    ClaimReqMsg M;
-    if (!decodeClaimReq(Payload, M) || !C.HaveHello)
+  case FrameType::Commit: {
+    CommitMsg M;
+    if (!decodeCommit(Payload, M) || !C.HaveHello)
       return false;
-    ClaimRespMsg Resp;
-    Resp.Gen = M.Gen;
-    if (!RegionIsOpen || M.Gen != Gen) {
-      Resp.Closed = true; // stale generation: stop asking for this one
-    } else if (CB.Claim) {
-      Resp.Leases = CB.Claim(M.Want);
-      for (int64_t L : Resp.Leases)
-        C.Owned.insert(L);
-      Stats.RemoteLeases += Resp.Leases.size();
-      if (!Resp.Leases.empty())
-        traceHook(obs::EventKind::NetClaim, C.AgentId, Resp.Leases.size());
-    }
-    return sendFrame(C, encodeClaimResp(Resp));
-  }
-  case FrameType::CommitBatch: {
-    CommitBatchMsg M;
-    if (!decodeCommitBatch(Payload, M) || !C.HaveHello)
-      return false;
-    if (M.Gen != Gen)
-      return true; // a previous region's stragglers: drop whole frame
-    for (const LeaseResult &L : M.Leases) {
-      // Ownership is the at-most-once guard: a lease this connection no
-      // longer owns was returned on a disconnect and belongs to someone
-      // else now — its result must not apply twice.
-      if (C.Owned.erase(L.Lease) == 0)
-        continue;
-      if (CB.Commit)
-        CB.Commit(L);
-    }
+    // A previous region's straggler is dropped whole. Ownership is the
+    // at-most-once guard: a lease this connection no longer owns was
+    // returned on a disconnect or an early close and belongs to someone
+    // else now — its result must not apply twice.
+    if (M.Gen != Gen || C.Owned < 0 || M.Result.Lease != C.Owned)
+      return true;
+    C.Owned = -1;
+    if (CB.Commit)
+      CB.Commit(M.Result);
     return true;
   }
   case FrameType::TraceFrame: {
@@ -283,8 +271,7 @@ bool LeaseServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
     return true;
   }
   case FrameType::Shutdown:
-  case FrameType::RegionOpen:
-  case FrameType::ClaimResp:
+  case FrameType::Grant:
   case FrameType::RegionClose:
   case FrameType::None:
     return false; // not something an agent may send
@@ -303,11 +290,10 @@ bool LeaseServer::sendFrame(Conn &C, const std::vector<uint8_t> &Frame) {
 void LeaseServer::disconnect(size_t Idx) {
   Conn &C = *Conns[Idx];
   uint64_t Returned = 0;
-  for (int64_t L : C.Owned)
-    if (CB.Return && CB.Return(L)) {
-      ++Stats.LeasesReturned;
-      ++Returned;
-    }
+  if (C.Owned >= 0 && CB.Return && CB.Return(C.Owned)) {
+    ++Stats.LeasesReturned;
+    Returned = 1;
+  }
   traceHook(obs::EventKind::NetDisconnect, C.AgentId, Returned);
   ::close(C.Fd);
   Conns[Idx] = std::move(Conns.back());
@@ -339,13 +325,13 @@ void LeaseServer::closeAll() {
 size_t LeaseServer::ownedLeases() const {
   size_t N = 0;
   for (const std::unique_ptr<Conn> &C : Conns)
-    N += C->Owned.size();
+    N += C->Owned >= 0;
   return N;
 }
 
 bool LeaseServer::ownsLease(int64_t Lease) const {
   for (const std::unique_ptr<Conn> &C : Conns)
-    if (C->Owned.count(Lease))
+    if (C->Owned == Lease)
       return true;
   return false;
 }

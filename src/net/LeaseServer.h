@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The tuning process' end of the distributed lease protocol. Remote
-/// sampling agents connect over TCP, claim leases one at a time out of
-/// the same shared claim counter local pool workers race on, run the
-/// samples in their own process, and send results back in CommitBatch
-/// frames.
+/// sampling agents connect over TCP and say Hello; from then on the
+/// server pushes each idle agent one lease at a time in a Grant frame,
+/// claimed out of the same shared claim counter local pool workers race
+/// on. The agent runs the sample in its own process and sends the result
+/// back in a Commit frame, which makes it idle again.
 ///
 /// The server is deliberately *threadless*: it owns non-blocking-accept
 /// sockets and a poll(2) pump that the runtime's aggregate() supervisor
@@ -21,12 +22,12 @@
 ///
 /// All lease-state decisions stay in the runtime via callbacks: the
 /// server only enforces the protocol invariants that make remote
-/// execution exactly-once — per-connection *owned sets* (a commit for a
-/// lease this connection does not own is stale and dropped) and the
-/// region *generation* (frames from a previous region are dropped). A
-/// disconnect — orderly, reset, or a SIGKILLed agent mid-frame — hands
-/// every still-owned lease back to the runtime, which reuses the same
-/// one-retry return machinery that covers crashed local workers.
+/// execution exactly-once — a connection owns at most one lease (a
+/// commit for a lease this connection does not own is stale and
+/// dropped) and the region *generation* (frames from a previous region
+/// are dropped). A disconnect — orderly, reset, or a SIGKILLed agent
+/// mid-frame — hands the still-owned lease back to the runtime, which
+/// reuses the same retry machinery that covers crashed local workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,11 +64,11 @@ struct NetStats {
 class LeaseServer {
 public:
   struct Callbacks {
-    /// Grant up to \p Want leases to a remote agent (agents ask for one
-    /// at a time). The runtime picks them the way a local worker claims
+    /// Claim one lease for an idle agent, or -1 when none is claimable
+    /// right now. The runtime claims the way a local worker does
     /// (returned-first, then the bounded shared counter) and must mark
-    /// every returned index claimed before this returns.
-    std::function<std::vector<int64_t>(uint32_t Want)> Claim;
+    /// the lease claimed before this returns.
+    std::function<int64_t()> Claim;
     /// Apply one lease result. Only called while the sending connection
     /// owns the lease; the runtime still guards with its state CAS, so
     /// a lease the region timed out is dropped, not double-counted.
@@ -94,11 +95,10 @@ public:
   bool listen(const std::string &Addr);
   uint16_t port() const { return Port; }
 
-  /// Opens a lease window for agents: bumps the generation and pushes
-  /// the region identity to every connected agent (late joiners get it
-  /// at Hello).
-  void openRegion(uint64_t TpId, uint64_t Base, uint32_t Regions, uint32_t N,
-                  uint32_t Kind);
+  /// Opens a lease window for agents: bumps the generation and records
+  /// the region identity every Grant carries. The next pump() starts
+  /// granting.
+  void openRegion(uint64_t TpId, uint64_t Base, uint32_t N, uint32_t Kind);
   /// Ends the window: agents are told, stale frames die on the
   /// generation check from here on. Leftover owned leases (none, unless
   /// the caller is tearing down early) are handed to Callbacks::Return.
@@ -108,10 +108,11 @@ public:
   bool regionOpen() const { return RegionIsOpen; }
   uint64_t generation() const { return Gen; }
 
-  /// One supervisor wait: polls listen + connections + \p WakeFd for up
-  /// to \p TimeoutMs, then accepts, reads, and dispatches whatever is
-  /// ready. WakeFd (the tuning process' child-event eventfd) only
-  /// shortens the wait; the caller drains it.
+  /// One supervisor wait: grants idle agents a lease each, polls listen +
+  /// connections + \p WakeFd for up to \p TimeoutMs, accepts, reads,
+  /// and dispatches whatever is ready, then grants again to the agents
+  /// whose Hello or Commit it just read. WakeFd (the tuning process'
+  /// child-event eventfd) only shortens the wait; the caller drains it.
   void pump(int TimeoutMs, int WakeFd = -1);
 
   /// Whether the open region still has remotely owned leases — the
@@ -145,7 +146,7 @@ private:
     bool HaveHello = false;
     uint32_t AgentId = 0;
     FrameBuffer In;
-    std::set<int64_t> Owned;
+    int64_t Owned = -1; ///< lease granted and not yet committed, or -1
     /// Server clock minus agent clock, estimated at Hello receipt
     /// (upper-bounds the agent clock by one network flight). Added to
     /// every TraceFrame timestamp from this connection.
@@ -156,6 +157,9 @@ private:
   };
 
   void acceptReady();
+  /// While a region is open, offers one lease to every connection that
+  /// has said Hello and owns none.
+  void grantIdle();
   /// One recv + frame dispatch round. False when the connection died.
   bool readConn(Conn &C);
   bool handleFrame(Conn &C, const std::vector<uint8_t> &Payload);
@@ -171,7 +175,7 @@ private:
   std::set<uint32_t> SeenAgents;
   bool RegionIsOpen = false;
   uint64_t Gen = 0;
-  RegionOpenMsg Cur;
+  GrantMsg Cur; ///< the open region's identity; Lease is the last grant
   NetStats Stats;
 };
 

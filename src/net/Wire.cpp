@@ -49,44 +49,27 @@ std::vector<uint8_t> net::encodeHello(uint32_t AgentId, uint64_t ClockNs) {
   return finishFrame(W);
 }
 
-std::vector<uint8_t> net::encodeRegionOpen(const RegionOpenMsg &M) {
-  ByteWriter W = beginPayload(FrameType::RegionOpen);
+std::vector<uint8_t> net::encodeGrant(const GrantMsg &M) {
+  ByteWriter W = beginPayload(FrameType::Grant);
   W.write<uint64_t>(M.Gen);
   W.write<uint64_t>(M.TpId);
   W.write<uint64_t>(M.Base);
-  W.write<uint32_t>(M.Regions);
   W.write<uint32_t>(M.N);
   W.write<uint32_t>(M.Kind);
+  W.write<int64_t>(M.Lease);
   return finishFrame(W);
 }
 
-std::vector<uint8_t> net::encodeClaimReq(const ClaimReqMsg &M) {
-  ByteWriter W = beginPayload(FrameType::ClaimReq);
+std::vector<uint8_t> net::encodeCommit(const CommitMsg &M) {
+  ByteWriter W = beginPayload(FrameType::Commit);
   W.write<uint64_t>(M.Gen);
-  W.write<uint32_t>(M.Want);
-  return finishFrame(W);
-}
-
-std::vector<uint8_t> net::encodeClaimResp(const ClaimRespMsg &M) {
-  ByteWriter W = beginPayload(FrameType::ClaimResp);
-  W.write<uint64_t>(M.Gen);
-  W.write<uint8_t>(M.Closed ? 1 : 0);
-  W.writeVector<int64_t>(M.Leases);
-  return finishFrame(W);
-}
-
-std::vector<uint8_t> net::encodeCommitBatch(const CommitBatchMsg &M) {
-  ByteWriter W = beginPayload(FrameType::CommitBatch);
-  W.write<uint64_t>(M.Gen);
-  W.write<uint32_t>(static_cast<uint32_t>(M.Leases.size()));
-  for (const LeaseResult &L : M.Leases) {
-    W.write<int64_t>(L.Lease);
-    W.write<uint8_t>(static_cast<uint8_t>(L.Outcome));
-    W.write<uint32_t>(static_cast<uint32_t>(L.Vars.size()));
-    for (const CommitVar &V : L.Vars) {
-      W.writeString(V.Name);
-      W.writeVector<uint8_t>(V.Bytes);
-    }
+  const LeaseResult &L = M.Result;
+  W.write<int64_t>(L.Lease);
+  W.write<uint8_t>(static_cast<uint8_t>(L.Outcome));
+  W.write<uint32_t>(static_cast<uint32_t>(L.Vars.size()));
+  for (const CommitVar &V : L.Vars) {
+    W.writeString(V.Name);
+    W.writeVector<uint8_t>(V.Bytes);
   }
   return finishFrame(W);
 }
@@ -136,74 +119,44 @@ bool net::decodeHello(const std::vector<uint8_t> &Payload, uint32_t &AgentId,
   return R.ok();
 }
 
-bool net::decodeRegionOpen(const std::vector<uint8_t> &Payload,
-                           RegionOpenMsg &Out) {
+bool net::decodeGrant(const std::vector<uint8_t> &Payload, GrantMsg &Out) {
   ByteReader R(Payload);
-  if (!beginDecode(Payload, FrameType::RegionOpen, R))
+  if (!beginDecode(Payload, FrameType::Grant, R))
     return false;
   Out.Gen = R.read<uint64_t>();
   Out.TpId = R.read<uint64_t>();
   Out.Base = R.read<uint64_t>();
-  Out.Regions = R.read<uint32_t>();
   Out.N = R.read<uint32_t>();
   Out.Kind = R.read<uint32_t>();
-  return R.ok() && Out.N != 0 && Out.Regions != 0;
+  Out.Lease = R.read<int64_t>();
+  return R.ok() && Out.N != 0 && Out.Lease >= 0;
 }
 
-bool net::decodeClaimReq(const std::vector<uint8_t> &Payload,
-                         ClaimReqMsg &Out) {
+bool net::decodeCommit(const std::vector<uint8_t> &Payload, CommitMsg &Out) {
   ByteReader R(Payload);
-  if (!beginDecode(Payload, FrameType::ClaimReq, R))
+  if (!beginDecode(Payload, FrameType::Commit, R))
     return false;
   Out.Gen = R.read<uint64_t>();
-  Out.Want = R.read<uint32_t>();
-  return R.ok();
-}
-
-bool net::decodeClaimResp(const std::vector<uint8_t> &Payload,
-                          ClaimRespMsg &Out) {
-  ByteReader R(Payload);
-  if (!beginDecode(Payload, FrameType::ClaimResp, R))
+  LeaseResult &L = Out.Result;
+  L.Lease = R.read<int64_t>();
+  uint8_t Outc = R.read<uint8_t>();
+  if (Outc != static_cast<uint8_t>(LeaseOutcome::Committed) &&
+      Outc != static_cast<uint8_t>(LeaseOutcome::Pruned))
     return false;
-  Out.Gen = R.read<uint64_t>();
-  Out.Closed = R.read<uint8_t>() != 0;
-  Out.Leases = R.readVector<int64_t>();
-  return R.ok();
-}
-
-bool net::decodeCommitBatch(const std::vector<uint8_t> &Payload,
-                            CommitBatchMsg &Out) {
-  ByteReader R(Payload);
-  if (!beginDecode(Payload, FrameType::CommitBatch, R))
-    return false;
-  Out.Gen = R.read<uint64_t>();
-  uint32_t Count = R.read<uint32_t>();
+  L.Outcome = static_cast<LeaseOutcome>(Outc);
+  uint32_t Vars = R.read<uint32_t>();
   if (!R.ok())
     return false;
-  Out.Leases.clear();
-  Out.Leases.reserve(Count);
-  for (uint32_t I = 0; I != Count; ++I) {
-    LeaseResult L;
-    L.Lease = R.read<int64_t>();
-    uint8_t Outc = R.read<uint8_t>();
-    if (Outc != static_cast<uint8_t>(LeaseOutcome::Committed) &&
-        Outc != static_cast<uint8_t>(LeaseOutcome::Pruned))
-      return false;
-    L.Outcome = static_cast<LeaseOutcome>(Outc);
-    uint32_t Vars = R.read<uint32_t>();
+  L.Vars.clear();
+  for (uint32_t V = 0; V != Vars; ++V) {
+    CommitVar CV;
+    CV.Name = R.readString();
+    CV.Bytes = R.readVector<uint8_t>();
     if (!R.ok())
       return false;
-    for (uint32_t V = 0; V != Vars; ++V) {
-      CommitVar CV;
-      CV.Name = R.readString();
-      CV.Bytes = R.readVector<uint8_t>();
-      if (!R.ok())
-        return false;
-      L.Vars.push_back(std::move(CV));
-    }
-    Out.Leases.push_back(std::move(L));
+    L.Vars.push_back(std::move(CV));
   }
-  return R.ok();
+  return true;
 }
 
 bool net::decodeRegionClose(const std::vector<uint8_t> &Payload,

@@ -16,14 +16,20 @@
 /// Conversation shape (one tuning process, N sampling agents):
 ///
 ///   agent  -> server   Hello{agent id, clock}    once per connection
-///   server -> agent    RegionOpen{gen, identity} per region / batch
-///   agent  -> server   ClaimReq{gen, want}       repeat
-///   server -> agent    ClaimResp{gen, leases, closed}
+///   server -> agent    Grant{gen, tp, base, N,   one lease, pushed to an
+///                            kind, lease}        idle agent while a
+///                                                region is open
+///   agent  -> server   Commit{gen, result}       one per Grant; the agent
+///                                                is idle again
 ///   agent  -> server   TraceFrame{events}        whenever the agent's
 ///                                                local ring has backlog
-///   agent  -> server   CommitBatch{gen, results} one per claim granted
 ///   server -> agent    RegionClose{gen}          region settled
+///   agent  -> server   TraceFrame{events}        close ack, always sent
 ///   server -> agent    Shutdown{}                teardown
+///
+/// Agents never ask for work: the server knows an agent is idle once it
+/// has said Hello or sent the Commit of its lease, and grants it the
+/// next one itself.
 ///
 /// The Hello clock is the agent's CLOCK_MONOTONIC at send time; the
 /// server subtracts it from its own clock on receipt to estimate the
@@ -52,10 +58,8 @@ namespace net {
 enum class FrameType : uint8_t {
   None = 0,
   Hello,
-  RegionOpen,
-  ClaimReq,
-  ClaimResp,
-  CommitBatch,
+  Grant,
+  Commit,
   RegionClose,
   Shutdown,
   TraceFrame,
@@ -77,28 +81,18 @@ enum class LeaseOutcome : uint8_t {
   Pruned = 2,    ///< the body was pruned (@check(false) or fell through)
 };
 
-/// Region identity pushed to agents: enough to rebuild the exact
-/// per-lease RNG seeds and child indices a local worker would use.
-/// Covers both plain pool regions (Regions == 1) and pipelined batches
-/// (Regions == BatchCount over one flat lease table of Regions * N).
-struct RegionOpenMsg {
+/// One lease granted to an agent, with the region identity it needs to
+/// rebuild the exact RNG seed and child index a local worker would use:
+/// lease \p Lease of the flat lease table that starts at region ordinal
+/// \p Base, \p N samples per region (plain pool regions and pipelined
+/// batches alike).
+struct GrantMsg {
   uint64_t Gen = 0;
   uint64_t TpId = 0;
-  uint64_t Base = 0;    ///< first region ordinal of the window
-  uint32_t Regions = 1; ///< regions sharing the flat lease table
-  uint32_t N = 0;       ///< samples per region
-  uint32_t Kind = 0;    ///< SamplingKind (stratified draws need it)
-};
-
-struct ClaimReqMsg {
-  uint64_t Gen = 0;
-  uint32_t Want = 0; ///< leases the agent asks for (agents ask for 1)
-};
-
-struct ClaimRespMsg {
-  uint64_t Gen = 0;
-  bool Closed = false; ///< region is gone; stop asking this generation
-  std::vector<int64_t> Leases; ///< flat lease indices granted
+  uint64_t Base = 0;  ///< first region ordinal of the window
+  uint32_t N = 0;     ///< samples per region
+  uint32_t Kind = 0;  ///< SamplingKind (stratified draws need it)
+  int64_t Lease = -1; ///< flat lease index granted
 };
 
 /// One committed variable of one lease (name + encoded payload).
@@ -114,9 +108,10 @@ struct LeaseResult {
   std::vector<CommitVar> Vars;
 };
 
-struct CommitBatchMsg {
+/// The result of the one lease a Grant handed out.
+struct CommitMsg {
   uint64_t Gen = 0;
-  std::vector<LeaseResult> Leases;
+  LeaseResult Result;
 };
 
 //===----------------------------------------------------------------------===//
@@ -126,10 +121,8 @@ struct CommitBatchMsg {
 /// \p ClockNs is the sender's CLOCK_MONOTONIC at send time (clock-offset
 /// estimation for trace correlation).
 std::vector<uint8_t> encodeHello(uint32_t AgentId, uint64_t ClockNs);
-std::vector<uint8_t> encodeRegionOpen(const RegionOpenMsg &M);
-std::vector<uint8_t> encodeClaimReq(const ClaimReqMsg &M);
-std::vector<uint8_t> encodeClaimResp(const ClaimRespMsg &M);
-std::vector<uint8_t> encodeCommitBatch(const CommitBatchMsg &M);
+std::vector<uint8_t> encodeGrant(const GrantMsg &M);
+std::vector<uint8_t> encodeCommit(const CommitMsg &M);
 std::vector<uint8_t> encodeRegionClose(uint64_t Gen);
 std::vector<uint8_t> encodeShutdown();
 /// Batches raw trace records from an agent's local ring. Timestamps are
@@ -145,11 +138,8 @@ FrameType frameType(const std::vector<uint8_t> &Payload);
 
 bool decodeHello(const std::vector<uint8_t> &Payload, uint32_t &AgentId,
                  uint64_t &ClockNs);
-bool decodeRegionOpen(const std::vector<uint8_t> &Payload, RegionOpenMsg &Out);
-bool decodeClaimReq(const std::vector<uint8_t> &Payload, ClaimReqMsg &Out);
-bool decodeClaimResp(const std::vector<uint8_t> &Payload, ClaimRespMsg &Out);
-bool decodeCommitBatch(const std::vector<uint8_t> &Payload,
-                       CommitBatchMsg &Out);
+bool decodeGrant(const std::vector<uint8_t> &Payload, GrantMsg &Out);
+bool decodeCommit(const std::vector<uint8_t> &Payload, CommitMsg &Out);
 bool decodeRegionClose(const std::vector<uint8_t> &Payload, uint64_t &Gen);
 bool decodeTraceFrame(const std::vector<uint8_t> &Payload,
                       std::vector<obs::TraceEvent> &Out);

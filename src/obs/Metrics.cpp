@@ -140,8 +140,7 @@ void writeMetricsJson(std::FILE *F, const RuntimeMetrics &M) {
                "\"net_remote_leases\": %llu, \"net_leases_returned\": %llu, "
                "\"net_frames\": %llu, \"net_bytes_in\": %llu, "
                "\"net_bytes_out\": %llu, \"net_recv_hello\": %llu, "
-               "\"net_recv_claim_req\": %llu, "
-               "\"net_recv_commit_batch\": %llu, \"net_recv_trace\": %llu, "
+               "\"net_recv_commit\": %llu, \"net_recv_trace\": %llu, "
                "\"trace_events\": %llu, "
                "\"trace_drops\": %llu, \"scores_noted\": %llu, "
                "\"score_last\": %.6g, \"score_min\": %.6g, "
@@ -167,8 +166,7 @@ void writeMetricsJson(std::FILE *F, const RuntimeMetrics &M) {
                (unsigned long long)M.NetBytesIn,
                (unsigned long long)M.NetBytesOut,
                (unsigned long long)M.NetRecvHello,
-               (unsigned long long)M.NetRecvClaimReq,
-               (unsigned long long)M.NetRecvCommitBatch,
+               (unsigned long long)M.NetRecvCommit,
                (unsigned long long)M.NetRecvTrace,
                (unsigned long long)M.TraceEvents,
                (unsigned long long)M.TraceDrops,
@@ -288,8 +286,7 @@ void writeExpositionText(std::string &Out, const RuntimeMetrics &M,
   expCounter(Out, L, "net_bytes_in", M.NetBytesIn);
   expCounter(Out, L, "net_bytes_out", M.NetBytesOut);
   expCounter(Out, L, "net_recv_hello", M.NetRecvHello);
-  expCounter(Out, L, "net_recv_claim_req", M.NetRecvClaimReq);
-  expCounter(Out, L, "net_recv_commit_batch", M.NetRecvCommitBatch);
+  expCounter(Out, L, "net_recv_commit", M.NetRecvCommit);
   expCounter(Out, L, "net_recv_trace", M.NetRecvTrace);
   expCounter(Out, L, "trace_events", M.TraceEvents);
   expCounter(Out, L, "trace_drops", M.TraceDrops);

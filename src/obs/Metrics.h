@@ -93,9 +93,8 @@ struct RuntimeMetrics {
   uint64_t NetBytesIn = 0;        ///< bytes the lease server received
   uint64_t NetBytesOut = 0;       ///< bytes the lease server sent
   uint64_t NetRecvHello = 0;      ///< Hello frames received
-  uint64_t NetRecvClaimReq = 0;   ///< ClaimReq frames received
-  uint64_t NetRecvCommitBatch = 0; ///< CommitBatch frames received
-  uint64_t NetRecvTrace = 0;       ///< TraceFrame frames received
+  uint64_t NetRecvCommit = 0;     ///< Commit frames received
+  uint64_t NetRecvTrace = 0;      ///< TraceFrame frames received
   uint64_t TraceEvents = 0;
   uint64_t TraceDrops = 0;
   uint64_t ScoresNoted = 0; ///< Runtime::noteScore() calls, run-wide

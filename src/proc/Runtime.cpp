@@ -574,7 +574,7 @@ void Runtime::init(const RuntimeOptions &InOpts) {
   // local-only sampling.
   if (Opts.NetAgents > 0) {
     net::LeaseServer::Callbacks CB;
-    CB.Claim = [this](uint32_t Want) { return netClaimLeases(Want); };
+    CB.Claim = [this] { return netClaimLease(); };
     CB.Commit = [this](const net::LeaseResult &R) { netApplyCommit(R); };
     CB.Return = [this](int64_t Lease) { return netReturnLease(Lease); };
     CB.Trace = [this](obs::EventKind Kind, uint64_t A, uint64_t B) {
@@ -1228,7 +1228,7 @@ void Runtime::sampling(int N, const RegionOptions &Ro) {
   RegionSlabStart = Ctl->slabAllocated();
   beginRegion(RegionCounter + 1, N, Ro);
   NextSpare = 0;
-  NumSpares = Ro.MaxRetries >= 0 ? Ro.MaxRetries : Opts.MaxRetries;
+  NumSpares = std::max(0, Ro.MaxRetries);
 
   // One slot and one lease per sample, the spares' after the mains': a
   // one-region table whose window spans them all. Mains owe a barrier
@@ -1886,14 +1886,18 @@ void Runtime::closeInheritedNetFds() {
 }
 
 /// Forks the agent processes, once, at the first pool region, so the
-/// region body is part of their image: every later region must run the
-/// same body closure the agents were forked with. Agents take no pool
-/// slot (they stand in for remote machines, which would not share this
-/// host's pool either).
+/// region body is part of their image: they run that closure for every
+/// lease they are granted, and netOpenRegion() grants them none of a
+/// region whose body differs. Agents take no pool slot (they stand in
+/// for remote machines, which would not share this host's pool either).
 void Runtime::spawnNetAgents() {
   if (NetSpawned || !NetServer)
     return;
   NetSpawned = true;
+  AgentBodyType = &RegionBody.target_type();
+  void (*const *Fn)() = RegionBody.target<void (*)()>();
+  AgentBodyFn = Fn ? *Fn : nullptr;
+  AgentBodyWarned = false;
   uint16_t Port = NetServer->port();
   for (unsigned I = 0; I != Opts.NetAgents; ++I) {
     std::fflush(nullptr);
@@ -1936,15 +1940,28 @@ void Runtime::shutdownNetAgents() {
 }
 
 /// Opens the server's lease window over the batch's whole flat lease
-/// space, so agents can start claiming. The window
-/// carries everything an agent needs to impersonate a local worker:
-/// batch geometry for the lease→region mapping and the sampling kind
-/// for stratified draws.
+/// space, so idle agents are granted leases from the next pump on. Each
+/// grant carries everything an agent needs to impersonate a local
+/// worker: batch geometry for the lease→region mapping and the sampling
+/// kind for stratified draws. A region whose body is not the one the
+/// agents were forked with opens no window: its leases run on the local
+/// workers, since the agents would run their own body on them.
 void Runtime::netOpenRegion() {
   if (!NetServer || !Table || !Table->PoolMode)
     return;
+  void (*const *Fn)() = RegionBody.target<void (*)()>();
+  if (RegionBody.target_type() != *AgentBodyType ||
+      (Fn && *Fn != AgentBodyFn)) {
+    if (!AgentBodyWarned)
+      std::fprintf(stderr,
+                   "wbtuner: region %llu passes a body other than the one "
+                   "the sampling agents were forked with; its leases, and "
+                   "those of every such region, run on local workers only\n",
+                   static_cast<unsigned long long>(Table->BatchBase));
+    AgentBodyWarned = true;
+    return;
+  }
   NetServer->openRegion(TpId, Table->BatchBase,
-                        static_cast<uint32_t>(Table->BatchCount),
                         static_cast<uint32_t>(Table->BatchN),
                         static_cast<uint32_t>(RegionKind));
 }
@@ -1954,27 +1971,20 @@ void Runtime::netCloseRegion() {
     NetServer->closeRegion();
 }
 
-/// Server callback: grant a remote agent up to \p Want leases — one,
-/// as agents ask, so agents and local workers self-schedule lease by
-/// lease and no one sits on a chunk while the others go idle. Each is
-/// the local workers' claim (tryClaimLease: returned leases first, then
-/// the bounded shared counter), marked LsClaimed here, in the tuning
-/// process. A grant is a reservation, not a run: it charges no attempt,
-/// because a disconnect hands back every lease of it, started or not,
-/// and the server cannot tell which ones ran. So a lease lost in
-/// transit is re-run however often its agents drop; the retry limit
-/// guards against samples that kill their local workers.
-std::vector<int64_t> Runtime::netClaimLeases(uint32_t Want) {
-  std::vector<int64_t> Out;
+/// Server callback: claim one lease for an idle agent, so agents and
+/// local workers self-schedule lease by lease and no one sits on a chunk
+/// while the others go idle. It is the local workers' claim
+/// (tryClaimLease: returned leases first, then the bounded shared
+/// counter), marked LsClaimed here, in the tuning process. A grant is a
+/// reservation, not a run: it charges no attempt, because a disconnect
+/// hands the lease back whether or not it ran, and the server cannot
+/// tell. So a lease lost in transit is re-run however often its agents
+/// drop; the retry limit guards against samples that kill their local
+/// workers.
+int64_t Runtime::netClaimLease() {
   if (!Table || !Table->PoolMode)
-    return Out;
-  while (Out.size() < Want) {
-    int Idx = tryClaimLease(/*Worker=*/false);
-    if (Idx < 0)
-      break; // drained (or pipeline-gated): the agent re-asks later
-    Out.push_back(Idx);
-  }
-  return Out;
+    return -1;
+  return tryClaimLease(/*Worker=*/false);
 }
 
 /// Server callback: apply one remotely run lease's result. The state CAS
@@ -2018,21 +2028,18 @@ bool Runtime::netReturnLease(int64_t Lease) {
                              /*Signal=*/0);
 }
 
-/// An agent's whole life: connect, Hello, then claim leases and send
-/// CommitBatch frames back until Shutdown. The agent never
+/// An agent's whole life: connect, Hello, then answer the server's
+/// frames until Shutdown. It never asks for work: on a Grant it runs the
+/// lease and sends its Commit, which tells the server it is idle again;
+/// on a RegionClose it acks with a TraceFrame, empty or not, since the
+/// server's close harvest waits for one per live agent. The agent never
 /// touches the lease table, the slab, or the pool gate — and it does not
 /// even use the inherited trace ring: a real remote agent would have no
 /// shared mapping at all, so its events buffer locally (traceEmitSlow)
 /// and travel as TraceFrame batches on the lease connection. Any socket
 /// failure (injected partitions and torn frames included) resets to a
-/// clean reconnect; whatever it had claimed has already been handed back
-/// by the server's disconnect path.
-///
-/// Every claim asks for one lease (netClaimLeases), so an agent holds
-/// at most one at a time and pays one claim round trip per lease. Every
-/// RegionClose is acked with a TraceFrame, empty or not, whether the
-/// agent was parked or waiting on a claim: the server's close harvest
-/// waits for one per live agent.
+/// clean reconnect; the lease it had been granted has already been
+/// handed back by the server's disconnect path.
 void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   Mode = ModeKind::Sampling;
   NetAgentMode = true;
@@ -2047,85 +2054,36 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   if (inject::armed())
     inject::tagProcess(mixSeed(TpId, 0xA6E47ULL + AgentId));
   net::AgentChannel Chan(Opts.NetListenAddress, Port, AgentId);
-  net::RegionOpenMsg Region;
-  bool WindowOpen = false;
   std::vector<uint8_t> Payload;
-  // Applies one server frame other than an awaited ClaimResp; false on
-  // Shutdown. A ClaimResp landing here answers a claim the window
-  // already moved past and is dropped.
-  auto control = [&] {
-    switch (net::frameType(Payload)) {
-    case net::FrameType::Shutdown:
-      return false;
-    case net::FrameType::RegionOpen:
-      WindowOpen |= net::decodeRegionOpen(Payload, Region);
+  // ensureConnected() is a no-op while connected, and false once the
+  // server is gone for good.
+  while (Chan.ensureConnected()) {
+    if (!Chan.recvFrame(Payload))
+      continue; // disconnected: reconnect
+    net::FrameType Type = net::frameType(Payload);
+    if (Type == net::FrameType::Shutdown)
       break;
-    case net::FrameType::RegionClose: {
-      uint64_t Gen = 0;
-      if (net::decodeRegionClose(Payload, Gen) && Gen == Region.Gen)
-        WindowOpen = false;
+    if (Type == net::FrameType::RegionClose) {
       agentFlushTrace(Chan, /*Ack=*/true);
-      break;
-    }
-    default:
-      break;
-    }
-    return true;
-  };
-  for (;;) {
-    if (!Chan.connected() && !Chan.ensureConnected())
-      break; // the server is gone for good
-    if (!WindowOpen) {
-      // Park on the wire until the next window (or Shutdown).
-      if (Chan.recvFrame(Payload) && !control())
-        break;
       continue;
     }
-    net::ClaimReqMsg Req;
-    Req.Gen = Region.Gen;
-    Req.Want = 1;
-    if (!Chan.sendFrame(net::encodeClaimReq(Req)))
+    if (Type != net::FrameType::Grant)
       continue;
-    // Wait for the matching ClaimResp; a RegionOpen or RegionClose
-    // arriving instead moves the window and abandons this claim.
-    net::ClaimRespMsg Resp;
-    bool HaveResp = false, Stop = false;
-    while (Chan.recvFrame(Payload)) {
-      if (net::frameType(Payload) == net::FrameType::ClaimResp) {
-        HaveResp =
-            net::decodeClaimResp(Payload, Resp) && Resp.Gen == Region.Gen;
-        break;
-      }
-      Stop = !control();
-      if (Stop || !WindowOpen || Region.Gen != Req.Gen)
-        break;
-    }
-    if (Stop)
-      break;
-    if (!HaveResp)
-      continue;
-    if (Resp.Closed) {
-      WindowOpen = false;
+    net::GrantMsg G;
+    if (!net::decodeGrant(Payload, G)) {
+      // A grant we cannot run still counts as ours on the server; the
+      // disconnect hands it back.
+      Chan.closeConn();
       continue;
     }
-    if (Resp.Leases.empty()) {
-      // Nothing claimable right now (the others hold the rest, or the
-      // pipeline gate is down): ask again in 1 ms, or as soon as the
-      // server sends a frame — a close, an open or a Shutdown is then
-      // read at once instead of after a blind sleep.
-      Chan.waitReadable(1);
-      continue;
-    }
-    net::CommitBatchMsg Batch;
-    Batch.Gen = Region.Gen;
-    for (int64_t Idx : Resp.Leases)
-      Batch.Leases.push_back(netRunLease(Region, Idx));
+    net::CommitMsg C;
+    C.Gen = G.Gen;
+    C.Result = netRunLease(G);
     // The frame tracepoint fires BEFORE the send: a `tp.net.frame:kill`
-    // plan kills the agent with results computed but the commit frame
+    // plan kills the agent with the result computed but the commit frame
     // unsent — exactly the lease loss the reclaim machinery must eat.
-    traceEmit(obs::EventKind::NetCommitFrame,
-              static_cast<uint64_t>(Batch.Leases.size()), Region.Gen);
-    if (Chan.sendFrame(net::encodeCommitBatch(Batch)))
+    traceEmit(obs::EventKind::NetCommitFrame, 1, G.Gen);
+    if (Chan.sendFrame(net::encodeCommit(C)))
       // Piggy-back the buffered trace records on the same connection
       // while it is known-good; the server rebases their timestamps by
       // this connection's Hello clock offset.
@@ -2143,20 +2101,20 @@ void Runtime::netAgentLoop(uint32_t AgentId, uint16_t Port) {
   _exit(0);
 }
 
-/// Runs one remotely claimed lease, impersonating the local worker that
-/// would have run it: same region identity, same region-local child
-/// index, same per-lease RNG reseed — so remote draws are bitwise-
-/// identical to local ones and mixed regions aggregate equivalently.
-net::LeaseResult Runtime::netRunLease(const net::RegionOpenMsg &Region,
-                                      int64_t Idx) {
+/// Runs one granted lease, impersonating the local worker that would
+/// have run it: same region identity, same region-local child index,
+/// same per-lease RNG reseed — so remote draws are bitwise-identical to
+/// local ones and mixed regions aggregate equivalently.
+net::LeaseResult Runtime::netRunLease(const net::GrantMsg &G) {
   net::LeaseResult Out;
+  int64_t Idx = G.Lease;
   Out.Lease = Idx;
-  uint64_t Reg = Region.Base + static_cast<uint64_t>(Idx) / Region.N;
-  int Local = static_cast<int>(static_cast<uint64_t>(Idx) % Region.N);
+  uint64_t Reg = G.Base + static_cast<uint64_t>(Idx) / G.N;
+  int Local = static_cast<int>(static_cast<uint64_t>(Idx) % G.N);
   RegionCounter = Reg;
   RegionDirPath.clear(); // agents never touch the file store
-  RegionN = static_cast<int>(Region.N);
-  RegionKind = static_cast<SamplingKind>(Region.Kind);
+  RegionN = static_cast<int>(G.N);
+  RegionKind = static_cast<SamplingKind>(G.Kind);
   ChildIndex = Local;
   LeaseIndex = static_cast<int>(Idx);
   RegionActive = true;
@@ -2164,7 +2122,7 @@ net::LeaseResult Runtime::netRunLease(const net::RegionOpenMsg &Region,
   AgentCommitted = false;
   traceEmit(obs::EventKind::LeaseBegin, RegionCounter,
             static_cast<uint64_t>(Idx));
-  TheRng = sampleRng(Opts.Seed, Region.TpId, RegionCounter, Local);
+  TheRng = sampleRng(Opts.Seed, G.TpId, RegionCounter, Local);
   try {
     RegionBody();
     // Falling out of the body without aggregate() is a voluntary prune,
@@ -2210,9 +2168,9 @@ void Runtime::check(bool Ok) {
   if (!isSampling() || Ok)
     return;
   if (NetAgentMode) {
-    // Prune only the current remote lease; the agent survives to run the
-    // rest of its claimed range. AgentCommitted stays false, which is
-    // what the CommitBatch frame reports as Pruned.
+    // Prune only the current remote lease; the agent survives to run
+    // the next one it is granted. AgentCommitted stays false, which is
+    // what the Commit frame reports as Pruned.
     throw LeaseEnd();
   }
   leasesOf(Table)[LeaseIndex].State.store(LsPruned, std::memory_order_relaxed);
@@ -2293,7 +2251,7 @@ int Runtime::storeCommit(uint64_t Region, int Child, const std::string &Var,
 /// commit-latency histogram and traced as StoreCommit.
 void Runtime::commitBytes(const std::string &Var,
                           const std::vector<uint8_t> &Bytes) {
-  // Remote agent: commits ride the CommitBatch frame, not the store —
+  // Remote agent: commits ride the Commit frame, not the store —
   // the server applies them tuning-side through the same routing.
   if (NetAgentMode) {
     AgentVars.push_back({Var, Bytes});
@@ -2322,8 +2280,8 @@ void Runtime::aggregate(const std::string &Var,
   assert(Inited && RegionActive && "aggregate() outside a sampling region");
   if (isSampling()) {
     // Rule [AGGR-S] on a remote agent: the commit is captured for the
-    // next CommitBatch frame instead of the store, and the lease body
-    // unwinds back into the claim loop. The tuning-side server routes
+    // lease's Commit frame instead of the store, and the lease body
+    // unwinds back into the agent loop. The tuning-side server routes
     // the payload through the same slab/file machinery a local child
     // would have used, so the stored bytes are identical.
     if (NetAgentMode) {
@@ -2607,10 +2565,7 @@ obs::RuntimeMetrics Runtime::metrics() const {
     M.NetBytesIn = NS.BytesIn;
     M.NetBytesOut = NS.BytesOut;
     M.NetRecvHello = NS.RecvByType[static_cast<int>(net::FrameType::Hello)];
-    M.NetRecvClaimReq =
-        NS.RecvByType[static_cast<int>(net::FrameType::ClaimReq)];
-    M.NetRecvCommitBatch =
-        NS.RecvByType[static_cast<int>(net::FrameType::CommitBatch)];
+    M.NetRecvCommit = NS.RecvByType[static_cast<int>(net::FrameType::Commit)];
     M.NetRecvTrace =
         NS.RecvByType[static_cast<int>(net::FrameType::TraceFrame)];
     // Agent records never touch the shared ring; fold the harvested

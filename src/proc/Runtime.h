@@ -37,7 +37,7 @@
 /// its region (the spawn loop, sync() and aggregate()): its pool slot is
 /// reclaimed, the region barrier's expected count is repaired, and the
 /// terminal SampleStatus of its sample lease is surfaced through
-/// AggregationView. An opt-in retry policy (RuntimeOptions::MaxRetries)
+/// AggregationView. An opt-in retry policy (RegionOptions::MaxRetries)
 /// pre-forks spare sampling processes that park before the region body and
 /// replace crashed/timed-out samples with fresh RNG streams. One bad
 /// sample can therefore never wedge a run — see DESIGN.md, "Failure
@@ -91,6 +91,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -162,11 +163,6 @@ struct RuntimeOptions {
   /// for a pool slot when it passes (they are never forked). 0 disables
   /// the timeout. Overridable per region via RegionOptions::TimeoutSec.
   double SampleTimeoutSec = 0.0;
-  /// Spare sampling processes pre-forked per region; each crashed or
-  /// timed-out sample is replaced by one spare (fresh RNG stream) until
-  /// they run out. 0 disables retries. Regions that use sync() never
-  /// activate spares (a replacement cannot replay missed barriers).
-  int MaxRetries = 0;
   /// Where commits land; see StoreBackend.
   StoreBackend Backend = StoreBackend::Shm;
   /// Commit-slab directory entries (Shm backend). Every commit consumes
@@ -198,19 +194,23 @@ struct RuntimeOptions {
   /// Remote sampling agents (distributed lease protocol, src/net): the
   /// root tuning process opens a TCP lease server and forks this many
   /// agent processes — stand-ins for agents on other hosts — at the
-  /// first worker-pool region. Agents claim one lease at a time over
-  /// the wire, run the region body locally, and send commits back in
-  /// frames that fold exactly like local shm-slab records, so mixed
-  /// local/remote regions aggregate bitwise-identically. Root tuning
-  /// process only; worker-pool regions (samplingRegion / regionBatch)
-  /// only. 0 disables the net path entirely.
+  /// first worker-pool region. The server pushes each idle agent one
+  /// lease at a time over the wire; the agent runs the region body
+  /// locally and sends its commits back in a frame that folds exactly
+  /// like local shm-slab records, so mixed local/remote regions
+  /// aggregate bitwise-identically. Root tuning process only;
+  /// worker-pool regions (samplingRegion / regionBatch) only. 0 disables
+  /// the net path entirely.
   ///
-  /// Agents run the body closure they were forked with (the first pool
-  /// region's) for the rest of the run: the leases of every later pool
-  /// region that they claim run that body, whatever body the region
-  /// passed. A run with agents gives all its pool regions one body that
-  /// branches on regionOrdinal(). DESIGN.md, "Distributed sampling
-  /// agents", says why agents are not forked per batch.
+  /// Agents can only run the body closure they were forked with (the
+  /// first pool region's). A later pool region whose body has another
+  /// callable type (or, for a plain function pointer, another function)
+  /// is granted to no agent: its leases run on the local workers, and
+  /// the first such region says so on stderr. A run that wants agents in
+  /// every region gives all its pool regions one body that branches on
+  /// regionOrdinal(); the check cannot see captured state, so that body
+  /// must not capture per-region values either. DESIGN.md, "Distributed
+  /// sampling agents", says why agents are not forked per batch.
   unsigned NetAgents = 0;
   /// Listen address of the lease server (localhost simulation by
   /// default; the protocol itself does not care where agents run).
@@ -228,8 +228,13 @@ struct RegionOptions {
   SamplingKind Kind = SamplingKind::Random;
   /// Region wall-clock budget; < 0 inherits RuntimeOptions::SampleTimeoutSec.
   double TimeoutSec = -1.0;
-  /// Retry spares for this region; < 0 inherits RuntimeOptions::MaxRetries.
-  int MaxRetries = -1;
+  /// Spare sampling processes pre-forked for this region by
+  /// fork-per-sample sampling(); each crashed or timed-out sample is
+  /// replaced by one spare (fresh RNG stream) until they run out. 0
+  /// disables retries. Regions that use sync() never activate spares (a
+  /// replacement cannot replay missed barriers). Worker-pool regions
+  /// retry by returning the lease instead and ignore it.
+  int MaxRetries = 0;
   /// Workers forked per regionBatch() / samplingRegion(); the actual
   /// count is min(Regions * N, Workers, MaxPool - 1), and <= 0 means
   /// MaxPool - 1. Ignored by fork-per-sample sampling().
@@ -321,12 +326,6 @@ public:
   uint64_t fileFallbacks(obs::FallbackReason R) const {
     return Counters.Fallbacks[int(R)];
   }
-  uint64_t fileFallbackTotal() const {
-    uint64_t N = 0;
-    for (uint64_t C : Counters.Fallbacks)
-      N += C;
-    return N;
-  }
 
 private:
   std::shared_ptr<const RegionReader> Store;
@@ -342,7 +341,6 @@ public:
 
   /// Initializes the root tuning process. Call once, before any primitive.
   void init(const RuntimeOptions &Opts = RuntimeOptions());
-  bool initialized() const { return Inited; }
 
   /// Ends this tuning process. The root waits for every @split descendant
   /// first and then removes the run directory; split children must call
@@ -484,11 +482,8 @@ public:
   /// Child index within the current region, or -1 in a tuning process.
   /// Retry spares observe indices >= the region's requested sample count.
   /// In a worker-pool region this is the currently claimed sample index,
-  /// not the worker's slot (see poolWorkerIndex()).
+  /// not the worker's slot.
   int sampleIndex() const { return isSampling() ? ChildIndex : -1; }
-  /// Worker slot within a worker-pool region, or -1 outside one.
-  /// Unlike sampleIndex(), this identifies the long-lived process.
-  int poolWorkerIndex() const { return PoolWorker ? WorkerIndex : -1; }
   /// Attempt number (1-based) of the current sample. A pool lease being
   /// re-run after its previous holder died observes 2, 3, ...; fork-mode
   /// samples and tuning processes always observe 1. Lets a body act on
@@ -708,7 +703,7 @@ private:
   void netOpenRegion();
   void netCloseRegion();
   /// Server callbacks (run in the root tuning process, from pump()).
-  std::vector<int64_t> netClaimLeases(uint32_t Want);
+  int64_t netClaimLease();
   void netApplyCommit(const net::LeaseResult &R);
   bool netReturnLease(int64_t Lease);
   /// Forked children must not hold the server's descriptors: a dup of a
@@ -716,7 +711,7 @@ private:
   /// so a dropped agent never sees EOF.
   void closeInheritedNetFds();
   [[noreturn]] void netAgentLoop(uint32_t AgentId, uint16_t Port);
-  net::LeaseResult netRunLease(const net::RegionOpenMsg &Region, int64_t Idx);
+  net::LeaseResult netRunLease(const net::GrantMsg &G);
 
   RuntimeOptions Opts;
   std::unique_ptr<SharedControl> Ctl;
@@ -775,8 +770,8 @@ private:
   bool AgentCommitted = false; // current lease reached aggregate()
   /// Agent-side trace backlog: an agent's process has no shared ring
   /// with the root, so its traceEmitSlow() buffers here and the loop
-  /// flushes as TraceFrame batches (after each CommitBatch and, as the
-  /// close ack, on RegionClose). Bounded; overflow drops the oldest half.
+  /// flushes as TraceFrame batches (after each Commit and, as the close
+  /// ack, on RegionClose). Bounded; overflow drops the oldest half.
   std::vector<obs::TraceEvent> AgentTraceBuf;
 
   // Live telemetry plane (root tuning side).
@@ -794,6 +789,14 @@ private:
   std::map<std::string, VoteAccumulator> FoldVotes;
   std::map<std::string, MeanVectorAccumulator> FoldMeanVecs;
   std::set<std::pair<std::string, int>> FoldedPairs;
+
+  // The body the agents were forked with (spawnNetAgents): its callable
+  // type and, for a plain function pointer, the function. A pool region
+  // whose body differs opens no lease window to them; the first one
+  // warns. Last, so no earlier member moves.
+  const std::type_info *AgentBodyType = nullptr;
+  void (*AgentBodyFn)() = nullptr;
+  bool AgentBodyWarned = false;
 };
 
 /// Process-local count of entries removeTree() failed to remove (warned

@@ -149,7 +149,6 @@ public:
   void init(unsigned MaxPool, bool UseScheduler,
             const SlabConfig &Slab = SlabConfig(),
             const TraceConfig &Trace = TraceConfig());
-  bool initialized() const { return Layout != nullptr; }
 
   //===--------------------------------------------------------------------===
   // Process pool (paper Alg. 1 across real processes).

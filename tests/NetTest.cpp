@@ -15,10 +15,15 @@
 //     are survived through the agents' reconnect path,
 //   - regionBatch() composes with remote agents: one lease window spans
 //     the batch and per-region aggregates still match a local run,
+//   - grants are pushed: an agent that has only said Hello is granted a
+//     lease without asking, owns at most one at a time, and a commit for
+//     a lease it does not own never applies,
 //   - agents do not stall a region: both ends of a lease connection
 //     turn Nagle's algorithm off, every RegionClose is acked even with
 //     tracing off, every grant is exactly one lease, and finish() waits
-//     for the agents' EOFs rather than a fixed pump window.
+//     for the agents' EOFs rather than a fixed pump window,
+//   - agents run only the body they were forked with: a region with
+//     another body runs on the local workers.
 //
 // Runtime scenarios run in forked children because the runtime is a
 // per-process singleton.
@@ -38,6 +43,7 @@
 #include <csignal>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/wait.h>
@@ -116,97 +122,80 @@ TEST(WireTest, TraceFrameRejectsOverclaimedCount) {
   EXPECT_FALSE(decodeTraceFrame(P, Out));
 }
 
-TEST(WireTest, RegionOpenRoundtripKeepsKind) {
-  RegionOpenMsg M;
+TEST(WireTest, GrantRoundtrip) {
+  GrantMsg M;
   M.Gen = 3;
   M.TpId = 0xDEADBEEF;
   M.Base = 42;
-  M.Regions = 6;
   M.N = 8;
   M.Kind = 1; // SamplingKind::Stratified — remote draws need it
-  std::vector<uint8_t> P = payloadOf(encodeRegionOpen(M));
-  EXPECT_EQ(frameType(P), FrameType::RegionOpen);
-  RegionOpenMsg Out;
-  ASSERT_TRUE(decodeRegionOpen(P, Out));
+  M.Lease = 0x123456789ll;
+  std::vector<uint8_t> P = payloadOf(encodeGrant(M));
+  EXPECT_EQ(frameType(P), FrameType::Grant);
+  GrantMsg Out;
+  ASSERT_TRUE(decodeGrant(P, Out));
   EXPECT_EQ(Out.Gen, 3u);
   EXPECT_EQ(Out.TpId, 0xDEADBEEFu);
   EXPECT_EQ(Out.Base, 42u);
-  EXPECT_EQ(Out.Regions, 6u);
   EXPECT_EQ(Out.N, 8u);
   EXPECT_EQ(Out.Kind, 1u);
+  EXPECT_EQ(Out.Lease, 0x123456789ll);
 }
 
-TEST(WireTest, RegionOpenRejectsEmptyRegion) {
-  RegionOpenMsg M;
+TEST(WireTest, GrantRejectsEmptyRegion) {
+  GrantMsg M;
   M.Gen = 1;
-  M.N = 0; // a window with no samples is a protocol error
-  RegionOpenMsg Out;
-  EXPECT_FALSE(decodeRegionOpen(payloadOf(encodeRegionOpen(M)), Out));
+  M.N = 0; // a region with no samples is a protocol error
+  M.Lease = 0;
+  GrantMsg Out;
+  EXPECT_FALSE(decodeGrant(payloadOf(encodeGrant(M)), Out));
+  M.N = 4;
+  M.Lease = -1; // so is a grant of no lease
+  EXPECT_FALSE(decodeGrant(payloadOf(encodeGrant(M)), Out));
 }
 
-TEST(WireTest, ClaimRoundtrip) {
-  ClaimReqMsg Req;
-  Req.Gen = 9;
-  Req.Want = 16;
-  ClaimReqMsg ReqOut;
-  ASSERT_TRUE(decodeClaimReq(payloadOf(encodeClaimReq(Req)), ReqOut));
-  EXPECT_EQ(ReqOut.Gen, 9u);
-  EXPECT_EQ(ReqOut.Want, 16u);
-
-  ClaimRespMsg Resp;
-  Resp.Gen = 9;
-  Resp.Closed = true;
-  Resp.Leases = {0, 5, 11};
-  ClaimRespMsg RespOut;
-  ASSERT_TRUE(decodeClaimResp(payloadOf(encodeClaimResp(Resp)), RespOut));
-  EXPECT_EQ(RespOut.Gen, 9u);
-  EXPECT_TRUE(RespOut.Closed);
-  EXPECT_EQ(RespOut.Leases, (std::vector<int64_t>{0, 5, 11}));
-}
-
-TEST(WireTest, CommitBatchRoundtrip) {
-  CommitBatchMsg M;
+TEST(WireTest, CommitRoundtrip) {
+  CommitMsg M;
   M.Gen = 4;
-  LeaseResult L;
-  L.Lease = 17;
-  L.Outcome = LeaseOutcome::Committed;
-  L.Vars.push_back({"score", {1, 2, 3, 4}});
-  L.Vars.push_back({"mask", {0xFF}});
-  M.Leases.push_back(L);
-  LeaseResult Pruned;
-  Pruned.Lease = 18;
-  Pruned.Outcome = LeaseOutcome::Pruned;
-  M.Leases.push_back(Pruned);
+  M.Result.Lease = 17;
+  M.Result.Outcome = LeaseOutcome::Committed;
+  M.Result.Vars.push_back({"score", {1, 2, 3, 4}});
+  M.Result.Vars.push_back({"mask", {0xFF}});
 
-  CommitBatchMsg Out;
-  ASSERT_TRUE(decodeCommitBatch(payloadOf(encodeCommitBatch(M)), Out));
+  CommitMsg Out;
+  ASSERT_TRUE(decodeCommit(payloadOf(encodeCommit(M)), Out));
   EXPECT_EQ(Out.Gen, 4u);
-  ASSERT_EQ(Out.Leases.size(), 2u);
-  EXPECT_EQ(Out.Leases[0].Lease, 17);
-  EXPECT_EQ(Out.Leases[0].Outcome, LeaseOutcome::Committed);
-  ASSERT_EQ(Out.Leases[0].Vars.size(), 2u);
-  EXPECT_EQ(Out.Leases[0].Vars[0].Name, "score");
-  EXPECT_EQ(Out.Leases[0].Vars[0].Bytes, (std::vector<uint8_t>{1, 2, 3, 4}));
-  EXPECT_EQ(Out.Leases[1].Outcome, LeaseOutcome::Pruned);
-  EXPECT_TRUE(Out.Leases[1].Vars.empty());
+  EXPECT_EQ(Out.Result.Lease, 17);
+  EXPECT_EQ(Out.Result.Outcome, LeaseOutcome::Committed);
+  ASSERT_EQ(Out.Result.Vars.size(), 2u);
+  EXPECT_EQ(Out.Result.Vars[0].Name, "score");
+  EXPECT_EQ(Out.Result.Vars[0].Bytes, (std::vector<uint8_t>{1, 2, 3, 4}));
+  EXPECT_EQ(Out.Result.Vars[1].Name, "mask");
+  EXPECT_EQ(Out.Result.Vars[1].Bytes, (std::vector<uint8_t>{0xFF}));
+
+  CommitMsg Pruned;
+  Pruned.Gen = 4;
+  Pruned.Result.Lease = 18;
+  Pruned.Result.Outcome = LeaseOutcome::Pruned;
+  ASSERT_TRUE(decodeCommit(payloadOf(encodeCommit(Pruned)), Out));
+  EXPECT_EQ(Out.Result.Lease, 18);
+  EXPECT_EQ(Out.Result.Outcome, LeaseOutcome::Pruned);
+  EXPECT_TRUE(Out.Result.Vars.empty());
 }
 
-TEST(WireTest, CommitBatchRejectsUnknownOutcome) {
-  CommitBatchMsg M;
-  M.Gen = 0;
-  LeaseResult L;
-  L.Lease = 0;
-  L.Outcome = LeaseOutcome::Committed;
-  M.Leases.push_back(L);
-  std::vector<uint8_t> P = payloadOf(encodeCommitBatch(M));
-  // Payload layout: type(1) + gen(8) + count(4) + lease(8) = 21 bytes
-  // before the outcome byte. Anything outside {Committed, Pruned} there
-  // must fail the decode, not come back as a garbage enum.
-  ASSERT_GT(P.size(), 21u);
-  ASSERT_EQ(P[21], static_cast<uint8_t>(LeaseOutcome::Committed));
-  P[21] = 9;
-  CommitBatchMsg Out;
-  EXPECT_FALSE(decodeCommitBatch(P, Out));
+TEST(WireTest, CommitRejectsUnknownOutcome) {
+  CommitMsg M;
+  M.Result.Lease = 0;
+  M.Result.Outcome = LeaseOutcome::Committed;
+  std::vector<uint8_t> P = payloadOf(encodeCommit(M));
+  // Payload layout: type(1) + gen(8) + lease(8) = 17 bytes before the
+  // outcome byte. Anything outside {Committed, Pruned} there must fail
+  // the decode, not come back as a garbage enum.
+  ASSERT_GT(P.size(), 17u);
+  ASSERT_EQ(P[17], static_cast<uint8_t>(LeaseOutcome::Committed));
+  P[17] = 9;
+  CommitMsg Out;
+  EXPECT_FALSE(decodeCommit(P, Out));
 }
 
 TEST(WireTest, ControlFrames) {
@@ -281,7 +270,7 @@ int noDelayOf(int Fd) {
 
 } // namespace
 
-// Small frames (a ClaimReq, a close ack) must not wait behind an
+// Small frames (a Grant, a close ack) must not wait behind an
 // unacknowledged frame for the peer's delayed ACK: both ends of every
 // lease connection send without Nagle's algorithm.
 TEST(LeaseConnectionTest, BothEndsDisableNagle) {
@@ -294,6 +283,92 @@ TEST(LeaseConnectionTest, BothEndsDisableNagle) {
   ASSERT_EQ(Server.connections(), 1u);
   EXPECT_GT(noDelayOf(Chan.fd()), 0);
   EXPECT_GT(noDelayOf(Server.connectionFd(0)), 0);
+}
+
+namespace {
+
+/// The agent's next frame, or an empty payload when none arrives within
+/// \p Sec seconds (or the connection died).
+std::vector<uint8_t> nextFrame(AgentChannel &Chan, int Sec) {
+  timeval Tv{Sec, 0};
+  setsockopt(Chan.fd(), SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
+  std::vector<uint8_t> P;
+  if (!Chan.recvFrame(P))
+    P.clear();
+  return P;
+}
+
+/// Whether the agent's socket has bytes waiting right now.
+bool readable(const AgentChannel &Chan) {
+  pollfd Pfd{Chan.fd(), POLLIN, 0};
+  return poll(&Pfd, 1, 0) > 0;
+}
+
+/// A Commit frame for \p Lease of generation \p Gen, with no variables.
+std::vector<uint8_t> commitFrame(uint64_t Gen, int64_t Lease) {
+  CommitMsg M;
+  M.Gen = Gen;
+  M.Result.Lease = Lease;
+  M.Result.Outcome = LeaseOutcome::Committed;
+  return encodeCommit(M);
+}
+
+} // namespace
+
+// The server pushes work: an agent that has only said Hello is granted a
+// lease without asking, holds at most one at a time, is granted the next
+// once it commits, and a commit for a lease it does not own is dropped.
+TEST(LeaseConnectionTest, IdleAgentIsGrantedWithoutAsking) {
+  int64_t Next = 0;
+  std::vector<int64_t> Committed;
+  LeaseServer::Callbacks CB;
+  CB.Claim = [&]() -> int64_t { return Next < 3 ? Next++ : -1; };
+  CB.Commit = [&](const LeaseResult &R) { Committed.push_back(R.Lease); };
+  LeaseServer Server(std::move(CB));
+  ASSERT_TRUE(Server.listen("127.0.0.1"));
+  Server.openRegion(/*TpId=*/5, /*Base=*/2, /*N=*/4, /*Kind=*/1);
+  AgentChannel Chan("127.0.0.1", Server.port(), /*AgentId=*/1);
+  ASSERT_TRUE(Chan.ensureConnected()); // sends its Hello and nothing else
+  for (int I = 0; I != 100 && Server.ownedLeases() == 0; ++I)
+    Server.pump(10);
+
+  std::vector<uint8_t> P = nextFrame(Chan, 2);
+  ASSERT_EQ(frameType(P), FrameType::Grant);
+  GrantMsg G;
+  ASSERT_TRUE(decodeGrant(P, G));
+  EXPECT_EQ(G.Lease, 0);
+  EXPECT_EQ(G.Gen, Server.generation());
+  EXPECT_EQ(G.TpId, 5u);
+  EXPECT_EQ(G.Base, 2u);
+  EXPECT_EQ(G.N, 4u);
+  EXPECT_EQ(G.Kind, 1u);
+
+  // Busy with lease 0: more pumps grant nothing more.
+  for (int I = 0; I != 5; ++I)
+    Server.pump(5);
+  EXPECT_FALSE(readable(Chan));
+  EXPECT_EQ(Next, 1);
+  EXPECT_EQ(Server.ownedLeases(), 1u);
+
+  // Its commit is its next claim.
+  ASSERT_TRUE(Chan.sendFrame(commitFrame(G.Gen, 0)));
+  for (int I = 0; I != 100 && Committed.empty(); ++I)
+    Server.pump(10);
+  ASSERT_EQ(Committed, (std::vector<int64_t>{0}));
+  P = nextFrame(Chan, 2);
+  ASSERT_TRUE(decodeGrant(P, G));
+  EXPECT_EQ(G.Lease, 1);
+
+  // Commits for leases it does not own — one never granted, one already
+  // committed — never reach the runtime, and it keeps lease 1.
+  ASSERT_TRUE(Chan.sendFrame(commitFrame(G.Gen, 2)));
+  ASSERT_TRUE(Chan.sendFrame(commitFrame(G.Gen, 0)));
+  for (int I = 0; I != 100 && Server.stats().Frames < 4; ++I)
+    Server.pump(10);
+  EXPECT_EQ(Server.stats().Frames, 4u); // Hello and three Commits
+  EXPECT_EQ(Committed, (std::vector<int64_t>{0}));
+  EXPECT_TRUE(Server.ownsLease(1));
+  EXPECT_EQ(Next, 2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -374,15 +449,15 @@ int scenarioNetMatchesLocal() {
   CHECK_OR(Mn.NetRemoteLeases > 0, 6);
   CHECK_OR(Mn.NetFrames > 0, 7);
   // Byte and per-frame-type accounting moved with the traffic: frames
-  // imply bytes both ways, and the conversation shape implies at least
-  // one Hello, ClaimReq, and CommitBatch each.
+  // imply bytes both ways. The conversation shape: agents say Hello, send
+  // one Commit per lease they were granted, and otherwise only
+  // TraceFrames; they never ask for work.
   CHECK_OR(Mn.NetBytesIn > 0, 8);
   CHECK_OR(Mn.NetBytesOut > 0, 9);
   CHECK_OR(Mn.NetRecvHello > 0, 40);
-  CHECK_OR(Mn.NetRecvClaimReq > 0, 41);
-  CHECK_OR(Mn.NetRecvCommitBatch > 0, 42);
-  CHECK_OR(Mn.NetRecvHello + Mn.NetRecvClaimReq + Mn.NetRecvCommitBatch +
-                   Mn.NetRecvTrace <=
+  CHECK_OR(Mn.NetRecvCommit > 0, 41);
+  CHECK_OR(Mn.NetRecvCommit == Mn.NetRemoteLeases, 42);
+  CHECK_OR(Mn.NetRecvHello + Mn.NetRecvCommit + Mn.NetRecvTrace ==
                Mn.NetFrames,
            43);
   // The local-only run kept the lease server down: nothing may count.
@@ -674,7 +749,7 @@ int scenarioNetTraceCorrelation() {
 
 /// The agent path's stall regressions run on this shape: a few
 /// 12-sample samplingRegion()s with ~2 ms bodies on one local worker
-/// and two agents, which claim one lease at a time. Every measured
+/// and two agents, which are granted one lease at a time. Every measured
 /// sample must commit exactly once. With tracing off, every
 /// RegionClose must come back acked by both agents (TraceFrames are
 /// then close acks only); an ack that missed its close's 25 ms harvest
@@ -791,6 +866,56 @@ int scenarioNetFinishWaitsForAgents() {
   return 0;
 }
 
+/// Agents are forked with the first pool region's body. A second region
+/// with another body (it commits 2.0 where the first commits 1.0) must
+/// run every lease on the local worker: agents running it would commit
+/// their own body's 1.0.
+int scenarioNetAgentsRunOnlyTheirOwnBody() {
+  Runtime &Rt = Runtime::get();
+  RuntimeOptions Opts;
+  Opts.MaxPool = 8;
+  Opts.Seed = 85;
+  Opts.Backend = StoreBackend::Shm;
+  Opts.NetAgents = 2;
+  Rt.init(Opts);
+
+  const int N = 12;
+  RegionOptions Ro;
+  Ro.Workers = 1;
+  std::vector<double> First(N, -1.0), Second(N, -1.0);
+  Rt.samplingRegion(N, Ro, [&] {
+    if (Rt.isSampling()) {
+      usleep(2000);
+      Rt.aggregate("v", encodeDouble(1.0), nullptr);
+    }
+    Rt.aggregate("v", encodeDouble(0), [&](AggregationView &V) {
+      for (int I : V.committed("v"))
+        First[I] = V.loadDouble("v", I);
+    });
+  });
+  uint64_t RemoteAfterFirst = Rt.metrics().NetRemoteLeases;
+  Rt.samplingRegion(N, Ro, [&] {
+    if (Rt.isSampling()) {
+      usleep(2000);
+      Rt.aggregate("v", encodeDouble(2.0), nullptr);
+    }
+    Rt.aggregate("v", encodeDouble(0), [&](AggregationView &V) {
+      for (int I : V.committed("v"))
+        Second[I] = V.loadDouble("v", I);
+    });
+  });
+  obs::RuntimeMetrics M = Rt.metrics();
+  Rt.finish();
+
+  CHECK_OR(RemoteAfterFirst > 0, 2); // the agents ran the first body
+  for (double V : First)
+    CHECK_OR(V == 1.0, 3);
+  for (int I = 0; I != N; ++I)
+    CHECK_OR(Second[I] == 2.0, 10 + I);
+  CHECK_OR(M.NetRemoteLeases == RemoteAfterFirst, 4);
+  return 0;
+}
+
 int scenarioNetBatchMatchesLocal() {
   std::vector<std::vector<double>> Local, Mixed;
   CHECK_OR(runNetBatch(0, Local) == 0, 5);
@@ -841,6 +966,10 @@ TEST(NetRuntimeTest, EveryCloseAckedAndGrantsShared) {
 
 TEST(NetRuntimeTest, FinishWaitsForAgentsNotAClock) {
   EXPECT_EQ(runScenario(scenarioNetFinishWaitsForAgents), 0);
+}
+
+TEST(NetRuntimeTest, AgentsRunOnlyTheirOwnBody) {
+  EXPECT_EQ(runScenario(scenarioNetAgentsRunOnlyTheirOwnBody), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -328,8 +328,7 @@ RuntimeMetrics denseMetrics() {
         &M.SlabEpochHighWater, &M.RemoveFailures, &M.NetAgents,
         &M.NetReconnects, &M.NetRemoteLeases, &M.NetLeasesReturned,
         &M.NetFrames, &M.NetBytesIn, &M.NetBytesOut, &M.NetRecvHello,
-        &M.NetRecvClaimReq,
-        &M.NetRecvCommitBatch, &M.NetRecvTrace, &M.TraceEvents, &M.TraceDrops,
+        &M.NetRecvCommit, &M.NetRecvTrace, &M.TraceEvents, &M.TraceDrops,
         &M.ScoresNoted})
     *F = V++;
   M.ElapsedSec = 2.5;
@@ -356,12 +355,11 @@ const char *const MetricsJsonKeys[] = {
     "slab_records_hw", "slab_bytes_hw", "slab_recycles", "slab_epoch_hw",
     "remove_failures", "net_agents", "net_reconnects", "net_remote_leases",
     "net_leases_returned", "net_frames", "net_bytes_in", "net_bytes_out",
-    "net_recv_hello", "net_recv_claim_req", "net_recv_commit_batch",
-    "net_recv_trace", "trace_events", "trace_drops", "scores_noted",
-    "score_last", "score_min", "score_max", "fork_p50_us", "fork_mean_us",
-    "commit_p50_us", "commit_mean_us", "region_p50_us", "region_mean_us",
-    "fork_latency_buckets", "commit_latency_buckets",
-    "region_latency_buckets"};
+    "net_recv_hello", "net_recv_commit", "net_recv_trace", "trace_events",
+    "trace_drops", "scores_noted", "score_last", "score_min", "score_max",
+    "fork_p50_us", "fork_mean_us", "commit_p50_us", "commit_mean_us",
+    "region_p50_us", "region_mean_us", "fork_latency_buckets",
+    "commit_latency_buckets", "region_latency_buckets"};
 
 TEST(MetricsJson, ParsesAndKeepsGoldenKeyOrder) {
   std::string Json = metricsJsonOf(denseMetrics());
@@ -426,9 +424,8 @@ TEST(MetricsExposition, CoversEveryScalarAndHistogram) {
         "slab_recycles", "slab_epoch_hw", "remove_failures", "net_agents",
         "net_reconnects", "net_remote_leases", "net_leases_returned",
         "net_frames", "net_bytes_in", "net_bytes_out", "net_recv_hello",
-        "net_recv_claim_req", "net_recv_commit_batch", "net_recv_trace",
-        "trace_events", "trace_drops", "scores_noted", "score_last",
-        "score_min", "score_max"}) {
+        "net_recv_commit", "net_recv_trace", "trace_events", "trace_drops",
+        "scores_noted", "score_last", "score_min", "score_max"}) {
     std::string Line = std::string("\nwbt_") + Key + " ";
     EXPECT_NE(Text.find(Line), std::string::npos) << "missing wbt_" << Key;
   }
